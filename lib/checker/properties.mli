@@ -20,10 +20,12 @@ val termination : Runner.outcome -> verdict
     run. *)
 
 val ordering : Runner.outcome -> verdict
-(** The delivery relation [↦] is acyclic over the run's messages. *)
+(** The delivery relation [↦] is acyclic over the run's messages.
+    Decided on a graph linear in the deliveries; the quadratic
+    {!delivery_edges} list is built only to name a cycle. *)
 
 val strict_ordering : Runner.outcome -> verdict
-(** [↦ ∪ ↝] is acyclic (§6.1). *)
+(** [↦ ∪ ↝] is acyclic (§6.1). Decided like {!ordering}. *)
 
 val pairwise_ordering : Runner.outcome -> verdict
 (** If a process delivers [m] then [m'], no process delivers [m']

@@ -55,11 +55,13 @@ let rule_names = List.map fst rules
    benchmark and its jobs-identity contract; [backend] because the
    cross-backend verdict-identity suite replays the same scenarios
    through both runtimes and any hidden clock or IO in the seam would
-   desynchronize them. *)
+   desynchronize them; [checker] because every fuzz trial ends in its
+   verdicts, and the failure strings it returns are pinned byte for
+   byte. *)
 let strict_libs =
   [
     "sim"; "core"; "fuzz"; "net"; "objects"; "substrate"; "util"; "lint";
-    "explore"; "experiments"; "racecheck"; "loadgen"; "backend";
+    "explore"; "experiments"; "racecheck"; "loadgen"; "backend"; "checker";
   ]
 
 let segments file =

@@ -91,7 +91,13 @@ let scope_map () =
        (Lint.lint_string ~file:"lib/util/rng.ml" "let x () = Random.bits ()"));
   Alcotest.(check int) "other util files do not" 1
     (List.length
-       (Lint.lint_string ~file:"lib/util/choice.ml" "let x () = Random.bits ()"))
+       (Lint.lint_string ~file:"lib/util/choice.ml" "let x () = Random.bits ()"));
+  (* lib/checker is strict: every fuzz trial ends in its verdicts, so a
+     representation rule there is an error, not a warning *)
+  Alcotest.(check bool) "checker is strict" true
+    (Lint.has_errors
+       (Lint.lint_string ~file:"lib/checker/properties.ml"
+          "let f l = List.sort compare l"))
 
 (* Top-level synchronization primitives are exactly the remedy
    global-mutable prescribes, so creating one must not be flagged —

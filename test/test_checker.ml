@@ -93,6 +93,87 @@ let detects_strict_violation () =
   Alcotest.(check bool) "↝ cycle caught" true (Properties.strict_ordering o <> Ok ());
   Alcotest.(check bool) "plain ordering fine" true (Properties.ordering o = Ok ())
 
+(* The ordering checks decide acyclicity on per-process delivery chains
+   and confirm a cycle through the exact pair lists: these cycles close
+   only through edges the chains leave implicit, and the failure string
+   must still be the reference checker's. *)
+let one_group_outcome ~msgs events =
+  let topo = Topology.create ~n:2 [ Pset.of_list [ 0; 1 ] ] in
+  {
+    (outcome_of_events []) with
+    Runner.topo;
+    workload = Workload.make (List.init msgs (fun _ -> (0, 0, 0))) topo;
+    fp = Failure_pattern.never ~n:2;
+    trace = Trace.make ~n:2 events;
+  }
+
+let check_cycle name check reference o =
+  Alcotest.(check bool) (name ^ " caught") true (check o <> Ok ());
+  Alcotest.(check (result unit string)) (name ^ " witness") (reference o) (check o)
+
+let detects_non_consecutive_cycle () =
+  (* m0 ↦ m2 only through m1 in p0's chain; p1 closes it with m2 ↦ m0 *)
+  let o =
+    one_group_outcome ~msgs:3
+      [
+        ev_invoke 0 0 0; ev_invoke 1 0 1; ev_invoke 2 0 2;
+        ev_deliver 0 0 3; ev_deliver 1 0 4; ev_deliver 2 0 5;
+        ev_deliver 2 1 6; ev_deliver 0 1 7;
+      ]
+  in
+  check_cycle "ordering" Properties.ordering Properties_ref.ordering o
+
+let detects_undelivered_cycle () =
+  (* p0 delivers m0 but never m1, p1 delivers m1 but never m0 *)
+  let o =
+    one_group_outcome ~msgs:2
+      [ ev_invoke 0 0 0; ev_invoke 1 1 1; ev_deliver 0 0 2; ev_deliver 1 1 3 ]
+  in
+  check_cycle "ordering" Properties.ordering Properties_ref.ordering o
+
+let detects_realtime_only_cycle () =
+  (* Three pairwise-intersecting groups; ↦ is m1 ↦ m2 ↦ m0 and m1 ↦ m0,
+     acyclic, but m0 is delivered at p0 before m1 is multicast. *)
+  let topo =
+    Topology.create ~n:3
+      [ Pset.of_list [ 0; 1 ]; Pset.of_list [ 1; 2 ]; Pset.of_list [ 0; 2 ] ]
+  in
+  let o =
+    {
+      (outcome_of_events []) with
+      Runner.topo;
+      workload = Workload.make [ (0, 0, 0); (1, 1, 0); (0, 2, 0) ] topo;
+      fp = Failure_pattern.never ~n:3;
+      variant = Algorithm1.Strict;
+      trace =
+        Trace.make ~n:3
+          [
+            ev_invoke 2 0 0; ev_invoke 0 0 1;
+            ev_deliver 2 0 2; ev_deliver 0 0 3;
+            ev_invoke 1 1 4;
+            ev_deliver 1 1 5; ev_deliver 0 1 6;
+            ev_deliver 1 2 7; ev_deliver 2 2 8;
+          ];
+    }
+  in
+  Alcotest.(check bool) "↦ alone acyclic" true (Properties.ordering o = Ok ());
+  check_cycle "strict ordering" Properties.strict_ordering
+    Properties_ref.strict_ordering o
+
+let accepts_long_in_order_run () =
+  (* 2000 messages delivered in invoke order at both members: linear
+     work for the chains, where the pair lists hold two million pairs. *)
+  let msgs = 2000 in
+  let events =
+    List.concat
+      (List.init msgs (fun m ->
+           [ ev_invoke m 0 (3 * m); ev_deliver m 0 ((3 * m) + 1); ev_deliver m 1 ((3 * m) + 2) ]))
+  in
+  let o = one_group_outcome ~msgs events in
+  Alcotest.(check (result unit string)) "ordering" (Ok ()) (Properties.ordering o);
+  Alcotest.(check (result unit string)) "strict ordering" (Ok ())
+    (Properties.strict_ordering o)
+
 let detects_non_minimality () =
   let o = outcome_of_events [] in
   o.Runner.stats.Engine.steps.(3) <- 5;
@@ -122,6 +203,12 @@ let suite =
     t "detects missing delivery" `Quick detects_missing_delivery;
     t "detects ↦ cycles" `Quick detects_delivery_cycle;
     t "detects ↝ violations" `Quick detects_strict_violation;
+    t "detects ↦ cycles through non-consecutive deliveries" `Quick
+      detects_non_consecutive_cycle;
+    t "detects ↦ cycles through never-delivered messages" `Quick
+      detects_undelivered_cycle;
+    t "detects cycles only ↝ closes" `Quick detects_realtime_only_cycle;
+    t "accepts 2000 in-order deliveries" `Quick accepts_long_in_order_run;
     t "detects non-minimality" `Quick detects_non_minimality;
     t "cycle finder" `Quick find_cycle_works;
     t "accepts a correct run" `Quick accepts_good_run;

@@ -28,6 +28,19 @@ let claims_divergence outcome =
   if indexed = reference then None
   else Some (Printf.sprintf "indexed {%s} vs reference {%s}" indexed reference)
 
+(* [core] builds its list without group-sequentiality; it must equal
+   [all] with that entry filtered out. *)
+let core_divergence outcome =
+  let core = render (Properties.core outcome) in
+  let filtered =
+    render
+      (List.filter
+         (fun (name, _) -> name <> "group-sequential")
+         (Properties.all outcome))
+  in
+  if core = filtered then None
+  else Some (Printf.sprintf "core {%s} vs filtered all {%s}" core filtered)
+
 let edges_divergence outcome =
   (* The exported edge lists feed find_cycle and claim 9: order included. *)
   if Properties.delivery_edges outcome = Properties_ref.delivery_edges outcome
@@ -48,6 +61,9 @@ let corpus_identity () =
           | None -> ()
           | Some d -> Alcotest.failf "%s: properties: %s" name d);
           (match edges_divergence outcome with
+          | None -> ()
+          | Some d -> Alcotest.failf "%s: %s" name d);
+          (match core_divergence outcome with
           | None -> ()
           | Some d -> Alcotest.failf "%s: %s" name d);
           match claims_divergence outcome with
@@ -72,10 +88,13 @@ let properties_sweep jobs () =
         let s = Fuzz_driver.scenario_of_trial ~seed:11 sweep_cfg i in
         let outcome = Scenario.run s in
         match
-          (properties_divergence outcome, edges_divergence outcome)
+          ( properties_divergence outcome,
+            edges_divergence outcome,
+            core_divergence outcome )
         with
-        | None, None -> None
-        | Some d, _ | _, Some d -> Some (Printf.sprintf "trial %d: %s" i d))
+        | None, None, None -> None
+        | Some d, _, _ | _, Some d, _ | _, _, Some d ->
+            Some (Printf.sprintf "trial %d: %s" i d))
   in
   let divergent = Array.to_list results |> List.filter_map Fun.id in
   Alcotest.(check (list string)) "divergent verdicts" [] divergent

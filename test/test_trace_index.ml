@@ -156,6 +156,71 @@ let index_is_idempotent () =
   Alcotest.(check int) "deliveries keeps duplicates" 2
     (List.length (Trace.deliveries tr))
 
+(* The ordering checkers decide acyclicity on a linear-size graph and
+   only fall back to the pair lists for a witness; their Ok/Error must
+   be exactly "the pair relation has no cycle". The generated traces
+   run over a topology with overlapping groups (everyone, plus the
+   consecutive pairs), with one workload message per mentioned id but
+   the last, so ids outside the workload occur too. *)
+let outcome_of ~n events =
+  let groups =
+    Pset.range n
+    :: (if n < 3 then [] else List.init (n - 1) (fun i -> Pset.of_list [ i; i + 1 ]))
+  in
+  let topo = Topology.create ~n groups in
+  let k = List.length groups in
+  let mb =
+    List.fold_left
+      (fun mb ev ->
+        match ev with
+        | Trace.Invoke { m; _ } | Send { m; _ } | Phase_change { m; _ } | Deliver { m; _ } ->
+            max mb (m + 1))
+      0 events
+  in
+  let specs =
+    List.init (max 1 (mb - 1)) (fun m ->
+        let g = m mod k in
+        (Pset.choose (Topology.group topo g), g, 0))
+  in
+  {
+    Runner.topo;
+    workload = Workload.make specs topo;
+    fp = Failure_pattern.never ~n;
+    variant = Algorithm1.Strict;
+    trace = Trace.make ~n events;
+    stats = { Engine.steps = Array.make n 0; executed = 0; ticks_used = 0; quiescent = true };
+    snapshots = [];
+    final_logs = [];
+    consensus_instances = 0;
+    consensus_rounds = 0;
+    links = Channel_fault.stats_zero;
+  }
+
+(* ↝ straight from its definition: m is first delivered before m' is
+   invoked. *)
+let naive_realtime_edges (o : Runner.outcome) =
+  let ids = List.map (fun m -> m.Amsg.id) (Workload.messages o.workload) in
+  List.concat_map
+    (fun m ->
+      List.filter_map
+        (fun m' ->
+          match
+            (naive_first_delivery_seq o.trace.events ~m,
+             naive_invoke_seq o.trace.events ~m:m')
+          with
+          | Some d, Some i when m <> m' && d < i -> Some (m, m')
+          | _ -> None)
+        ids)
+    ids
+
+let ordering_matches_cycles name gen =
+  QCheck.Test.make ~name ~count:300 (arbitrary_of gen) (fun (n, events) ->
+      let o = outcome_of ~n events in
+      let edges = Properties.delivery_edges o in
+      (Properties.ordering o = Ok ()) = (Properties.find_cycle edges = None)
+      && (Properties.strict_ordering o = Ok ())
+         = (Properties.find_cycle (edges @ naive_realtime_edges o) = None))
+
 let suite =
   [ t "index memoization" `Quick index_is_idempotent ]
   @ List.map
@@ -163,4 +228,8 @@ let suite =
       [
         indexed_matches_naive "trace index: well-formed traces" well_formed_gen;
         indexed_matches_naive "trace index: adversarial traces" adversarial_gen;
+        ordering_matches_cycles "ordering = acyclic ↦: well-formed traces"
+          well_formed_gen;
+        ordering_matches_cycles "ordering = acyclic ↦: adversarial traces"
+          adversarial_gen;
       ]
