@@ -22,12 +22,7 @@
    monotone p50/p99/max latency grids per engine mode, on_rounds <=
    off_rounds (batching only amortizes) and a verdicts_equal flag that
    must be true (the heavy-traffic engine modes must not change a
-   core-spec verdict); "parallel-scaling" cases carry name/jobs/cores/
-   msgs/delivered/wall_ns_per_run/msgs_per_sec/scaling, monotone
-   p50/p99/max wall-clock latencies and a verdicts_equal flag that
-   must be true (the shared-memory parallel backend must reach the
-   same core-spec verdict as a simulator replay of the same
-   configuration).
+   core-spec verdict).
    Exits non-zero with a message naming the file and the offending path
    on any mismatch.
 
@@ -314,34 +309,6 @@ let check_throughput_case path c =
   if not (as_bool (path ^ ".verdicts_equal") (field path c "verdicts_equal"))
   then schema_fail path "verdicts_equal must be true"
 
-let check_parallel_case path c =
-  let name = as_string (path ^ ".name") (field path c "name") in
-  let path = Printf.sprintf "%s(%s)" path name in
-  let num k = as_num (path ^ "." ^ k) (field path c k) in
-  if num "jobs" < 1. then schema_fail path "jobs must be >= 1";
-  if num "cores" < 1. then schema_fail path "cores must be >= 1";
-  if num "msgs" <= 0. then schema_fail path "msgs must be > 0";
-  if num "delivered" < 0. then schema_fail path "delivered must be >= 0";
-  if num "delivered" > num "msgs" then
-    schema_fail path "delivered must be <= msgs";
-  if num "runs" < 1. then schema_fail path "runs must be >= 1";
-  (* Wall-clock numbers are machine-dependent, so only sanity holds:
-     positive time, positive throughput, positive relative scaling. *)
-  if num "wall_ns_per_run" <= 0. then
-    schema_fail path "wall_ns_per_run must be > 0";
-  if num "msgs_per_sec" <= 0. then schema_fail path "msgs_per_sec must be > 0";
-  if num "scaling" <= 0. then schema_fail path "scaling must be > 0";
-  let p50 = num "p50_us" and p99 = num "p99_us" and mx = num "max_us" in
-  if p50 < 0. then schema_fail path "p50_us must be >= 0";
-  if p50 > p99 || p99 > mx then
-    schema_fail path "latency percentiles must be monotone";
-  (* Verdict identity across backends is part of the schema: a
-     trajectory recording that the parallel runtime reached a
-     different core-spec verdict than the simulator replay is invalid,
-     full stop. *)
-  if not (as_bool (path ^ ".verdicts_equal") (field path c "verdicts_equal"))
-  then schema_fail path "verdicts_equal must be true"
-
 let check_entry check_case i e =
   let path = Printf.sprintf "entries[%d]" i in
   let label = as_string (path ^ ".label") (field path e "label") in
@@ -362,7 +329,6 @@ let check_trajectory j =
     | "explore-scaling" -> check_explore_case
     | "faults-scaling" -> check_faults_case
     | "throughput-scaling" -> check_throughput_case
-    | "parallel-scaling" -> check_parallel_case
     | _ -> schema_fail "suite" ("unknown suite " ^ suite)
   in
   let entries = as_arr "entries" (field "top" j "entries") in

@@ -130,32 +130,6 @@ let variant_arg =
     & opt (enum variants) Algorithm1.Vanilla
     & info [ "variant" ] ~docv:"VARIANT" ~doc:"vanilla, strict or pairwise.")
 
-(* [Arg.enum] makes an unknown backend a parse-time usage error (exit
-   124), matching every other malformed flag. *)
-let backend_arg =
-  let backends = [ ("sim", `Sim); ("parallel", `Parallel) ] in
-  Arg.(
-    value
-    & opt (enum backends) `Sim
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Execution runtime: $(b,sim) (default) is the deterministic \
-           single-domain simulator; $(b,parallel) runs each process as \
-           an OCaml 5 domain-pool task over shared memory. Verdicts are \
-           identical across backends; event interleavings (and \
-           therefore traces) need not be.")
-
-let backend_module = function
-  | `Sim -> (module Backend.Sim : Backend.S)
-  | `Parallel -> (module Backend_parallel.Parallel : Backend.S)
-
-(* Wall clock for the parallel backend's event stamps, in nanoseconds.
-   Only latency *differences* are reported, so the epoch base is
-   irrelevant; the CLI is outside the lint wall-clock fence (Exec
-   scope), which is exactly why the clock is injected here rather than
-   read inside lib/. *)
-let ns_clock () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -215,7 +189,7 @@ let analyze_cmd =
 (* run                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let run topo crashes seed msgs variant backend jobs =
+let run topo crashes seed msgs variant =
   let n = Topology.n topo in
   let fp = Failure_pattern.of_crashes ~n crashes in
   let workload = Workload.random (Rng.make seed) ~msgs ~max_at:10 topo in
@@ -223,14 +197,8 @@ let run topo crashes seed msgs variant backend jobs =
     (fun { Workload.msg; at } ->
       Format.printf "multicast %a at t=%d@." Amsg.pp msg at)
     workload;
-  let cfg =
-    Backend.make_config ~variant ~seed ~jobs ~clock:ns_clock ~topo ~fp
-      ~workload ()
-  in
-  let (module B : Backend.S) = backend_module backend in
-  let bo = B.run cfg in
-  let o = bo.Backend.core in
-  Format.printf "@.backend: %s@." bo.Backend.backend;
+  let o = Runner.run ~variant ~seed ~topo ~fp ~workload () in
+  Format.printf "@.";
   List.iter
     (fun (p, m, t, _) -> Format.printf "t=%-4d deliver m%d at p%d@." t m p)
     (Trace.deliveries o.Runner.trace);
@@ -251,7 +219,7 @@ let run_cmd =
     Term.(
       term_result
         (const run $ topology_arg $ crashes_arg $ seed_arg $ msgs_arg
-       $ variant_arg $ backend_arg $ jobs_arg))
+       $ variant_arg))
 
 (* ------------------------------------------------------------------ *)
 (* fuzz                                                                *)
@@ -639,9 +607,14 @@ let pipeline_arg =
            as the previous one is in the group log, without waiting for \
            its delivery.")
 
-(* The simulated-time path: sharded deterministic runs, numbers
-   identical for every --jobs value. *)
-let bench_throughput_sim ~topo ~fp ~seed ~batch ~pipeline ~jobs workload =
+let bench_throughput topo crashes seed rate skew duration batch pipeline jobs
+    =
+  let n = Topology.n topo in
+  let fp = Failure_pattern.of_crashes ~n crashes in
+  let rng = Rng.make seed in
+  let workload =
+    Loadgen.open_loop ~rng ~rate_pct:rate ~skew_pct:skew ~duration topo
+  in
   let shards = Shard.plan ~topo ~fp workload in
   let outcomes =
     Array.to_list
@@ -666,52 +639,8 @@ let bench_throughput_sim ~topo ~fp ~seed ~batch ~pipeline ~jobs workload =
   in
   Format.printf "latency ticks: p50=%s p99=%s max=%s@." (pct 50) (pct 99)
     (pct 100);
-  List.exists (fun o -> Result.is_error (Properties.check_core o)) outcomes
-
-(* The wall-clock path: one parallel run over real domains, stamped
-   with [ns_clock]. Latencies are wall nanoseconds, not ticks, and
-   depend on machine load — only the verdict is deterministic. *)
-let bench_throughput_parallel ~topo ~fp ~seed ~batch ~pipeline ~jobs workload =
-  let cfg =
-    Backend.make_config ~seed ~batching:batch ~pipelining:pipeline ~jobs
-      ~clock:ns_clock ~topo ~fp ~workload ()
-  in
-  let t0 = ns_clock () in
-  let bo = Backend_parallel.Parallel.run cfg in
-  let elapsed_ns = max 1 (ns_clock () - t0) in
-  let o = bo.Backend.core in
-  let samples = Backend.wall_latencies bo in
-  let delivered = List.length samples in
-  Format.printf "backend=parallel jobs=%d invoked=%d delivered=%d \
-                 instances=%d rounds=%d@."
-    jobs (List.length workload) delivered o.Runner.consensus_instances
-    o.Runner.consensus_rounds;
-  Format.printf "wall time: %.3f ms@." (float_of_int elapsed_ns /. 1e6);
-  Format.printf "throughput: %.1f msgs/sec (wall clock)@."
-    (1e9 *. float_of_int delivered /. float_of_int elapsed_ns);
-  let pct q =
-    match Latency.percentile samples q with
-    | Some v -> Printf.sprintf "%.1f" (float_of_int v /. 1e3)
-    | None -> "-"
-  in
-  Format.printf "latency us: p50=%s p99=%s max=%s@." (pct 50) (pct 99)
-    (pct 100);
-  Result.is_error (Properties.check_core o)
-
-let bench_throughput topo crashes seed rate skew duration batch pipeline
-    backend jobs =
-  let n = Topology.n topo in
-  let fp = Failure_pattern.of_crashes ~n crashes in
-  let rng = Rng.make seed in
-  let workload =
-    Loadgen.open_loop ~rng ~rate_pct:rate ~skew_pct:skew ~duration topo
-  in
   let violated =
-    match backend with
-    | `Sim -> bench_throughput_sim ~topo ~fp ~seed ~batch ~pipeline ~jobs workload
-    | `Parallel ->
-        bench_throughput_parallel ~topo ~fp ~seed ~batch ~pipeline ~jobs
-          workload
+    List.exists (fun o -> Result.is_error (Properties.check_core o)) outcomes
   in
   if violated then begin
     Format.printf "core specification VIOLATED@.";
@@ -736,13 +665,6 @@ let bench_throughput_cmd =
          default scalar stepper to see the heavy-traffic engine's \
          amortization; $(b,bench/throughput_scaling.ml) sweeps the \
          committed grid.";
-      `P
-        "With $(b,--backend parallel) the run executes on real OCaml 5 \
-         domains instead and the report switches to wall-clock \
-         throughput and nanosecond-stamped latency percentiles; the \
-         specification verdict stays deterministic, the timings do \
-         not. $(b,bench/parallel_scaling.ml) sweeps the committed \
-         wall-clock grid.";
     ]
   in
   Cmd.v
@@ -751,7 +673,7 @@ let bench_throughput_cmd =
       term_result
         (const bench_throughput $ topology_arg $ crashes_arg $ seed_arg
        $ rate_arg $ skew_arg $ duration_arg $ batch_arg $ pipeline_arg
-       $ backend_arg $ jobs_arg))
+       $ jobs_arg))
 
 (* ------------------------------------------------------------------ *)
 (* experiment                                                          *)

@@ -35,28 +35,6 @@ type datum =
 
 type t
 
-type transport = {
-  announce : m:int -> src:int -> time:int -> unit;
-      (** Called exactly once per message, inside the listing action of
-          its source, in place of the internal visibility draw: publish
-          the announcement of [m] to the other destination members. *)
-  visible : pid:int -> m:int -> time:int -> bool;
-      (** Whether [pid]'s copy of the announcement of [m] has arrived
-          by [time]. Must be monotone in [time] for a fixed [(pid, m)]
-          once it returns [true] (an arrived copy never un-arrives). *)
-  horizon : unit -> int;
-      (** Largest tick at which a copy published so far can still
-          arrive — the [live_until] bound; [0] when nothing is in
-          flight. *)
-}
-(** The backend seam for announcement delivery (DESIGN.md "Backend seam
-    & parallel execution"): the multicast announcement is the one piece
-    of genuine inter-process communication in the Prop. 1 reduction,
-    so it is the one place a real message-passing runtime plugs in.
-    The simulator never sets this — the internal schedule-independent
-    table is the default — and with [transport] absent every stepper
-    path is bit-identical to the pre-seam code. *)
-
 val create :
   ?variant:variant ->
   ?enablement_cache:bool ->
@@ -64,7 +42,6 @@ val create :
   ?pipelining:bool ->
   ?faults:Channel_fault.spec ->
   ?fault_seed:int ->
-  ?transport:transport ->
   topo:Topology.t ->
   mu:Mu.t ->
   workload:Workload.t ->
@@ -103,13 +80,7 @@ val create :
     messages whose guards cannot have changed since they last failed.
     The cache only prunes provably-disabled candidates, so traces are
     bit-identical either way; [false] recovers the reference stepper
-    (used by the trace-identity tests).
-
-    [transport], when given, routes announcement delivery through the
-    caller's queues instead of the internal table: [faults] and
-    [fault_seed] are then ignored by the stepper (the transport owns
-    the fault model) and the visibility gate consults
-    [transport.visible] for every listed message. *)
+    (used by the trace-identity tests). *)
 
 val step : t -> pid:int -> time:int -> bool
 (** Execute at most one enabled action of process [pid] (with
@@ -129,12 +100,6 @@ val event_seq : t -> int
 (** Number of events recorded so far — the sequence number the next
     event will get. Monotone; [trace] holds exactly this many events. *)
 
-val events_since : t -> from:int -> Trace.event list
-(** The events with sequence number [>= from], in execution order —
-    the incremental read the parallel backend's collector uses after
-    each step ([events_since st ~from:(event_seq before)]). O(number
-    of returned events). *)
-
 val phase : t -> pid:int -> m:int -> Trace.phase
 
 val log_keys : t -> (Topology.gid * Topology.gid) list
@@ -149,8 +114,8 @@ val consensus_instances : t -> int
 
 val consensus_rounds : t -> int
 (** Number of commit rounds run so far — the consensus invocations a
-    networked backend would make. Without batching this equals the
-    number of proposals issued; with batching a whole per-group round
+    message-passing deployment would make. Without batching this equals
+    the number of proposals issued; with batching a whole per-group round
     of messages counts once, so [rounds / instances] measures the
     amortization. *)
 

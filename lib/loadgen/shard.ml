@@ -9,13 +9,9 @@
    test suite pins. *)
 
 type shard = {
-  label : int;
   topo : Topology.t;
   fp : Failure_pattern.t;
   workload : Workload.t;
-  procs : int array;
-  gids : Topology.gid array;
-  msg_ids : int array;
 }
 
 let plan ~topo ~fp workload =
@@ -58,7 +54,6 @@ let plan ~topo ~fp workload =
       let reqs =
         List.filter (fun r -> gid_of.(r.Workload.msg.Amsg.dst) >= 0) workload
       in
-      let msg_ids = Array.of_list (List.map (fun r -> r.Workload.msg.Amsg.id) reqs) in
       let sub_workload =
         List.mapi
           (fun id { Workload.msg; at } ->
@@ -80,15 +75,7 @@ let plan ~topo ~fp workload =
                | _ -> None)
              (List.init n Fun.id))
       in
-      {
-        label;
-        topo = sub_topo;
-        fp = sub_fp;
-        workload = sub_workload;
-        procs;
-        gids;
-        msg_ids;
-      })
+      { topo = sub_topo; fp = sub_fp; workload = sub_workload })
     labels
 
 let run ?jobs ?pool ?variant ?(seed = 1) ?horizon ?enablement_cache ?batching

@@ -10,13 +10,9 @@
     the throughput identity suite. *)
 
 type shard = {
-  label : int;  (** component label: its smallest global process id *)
   topo : Topology.t;  (** the component, densely renumbered *)
   fp : Failure_pattern.t;  (** crashes restricted to the component *)
   workload : Workload.t;  (** requests to the component's groups *)
-  procs : int array;  (** shard pid → global pid *)
-  gids : Topology.gid array;  (** shard gid → global gid *)
-  msg_ids : int array;  (** shard message id → global message id *)
 }
 
 val plan :

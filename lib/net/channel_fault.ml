@@ -98,15 +98,6 @@ type stats = {
 let stats_zero =
   { sent = 0; dropped = 0; duplicated = 0; retransmissions = 0; lost = 0 }
 
-let stats_add a b =
-  {
-    sent = a.sent + b.sent;
-    dropped = a.dropped + b.dropped;
-    duplicated = a.duplicated + b.duplicated;
-    retransmissions = a.retransmissions + b.retransmissions;
-    lost = a.lost + b.lost;
-  }
-
 (* ---------------- keyed randomness --------------------------------- *)
 
 let golden = 0x9E3779B97F4A7C15L

@@ -43,10 +43,10 @@ val find_first : ?jobs:int -> ?chunk:int -> int -> (int -> 'b option) -> (int * 
 
     A per-call {!map} spawns and joins its worker domains every time —
     fine for one large batch, wasteful for callers that issue many
-    small batches (bench iterations, the parallel backend's round
-    loop). A {!pool} keeps [jobs - 1] worker domains alive across
-    batches; they block on a condition variable between submissions, so
-    an idle pool consumes no CPU. *)
+    small batches (bench iterations, repeated [Shard.run] calls). A
+    {!pool} keeps [jobs - 1] worker domains alive across batches; they
+    block on a condition variable between submissions, so an idle pool
+    consumes no CPU. *)
 
 type pool
 (** A fixed set of live worker domains plus the submitting domain. *)
