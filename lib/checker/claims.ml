@@ -4,18 +4,11 @@ let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
 let ( let* ) = Result.bind
 
-(* Fold a check over consecutive snapshot pairs (final state included). *)
-let consecutive outcome f =
-  let snaps =
-    List.map snd outcome.Runner.snapshots @ [ outcome.Runner.final_logs ]
-  in
-  let rec loop = function
-    | a :: (b :: _ as rest) ->
-        let* () = f a b in
-        loop rest
-    | _ -> Ok ()
-  in
-  loop snaps
+let rec for_each f = function
+  | [] -> Ok ()
+  | x :: rest ->
+      let* () = f x in
+      for_each f rest
 
 let log_assoc snap key = match List.assoc_opt key snap with Some l -> l | None -> []
 
@@ -29,67 +22,127 @@ let compare_key (g, h) (g', h') =
 let keys_of a b =
   List.sort_uniq compare_key (List.map fst a @ List.map fst b)
 
+let rec keys_ascending = function
+  | (k, _) :: ((k', _) :: _ as rest) ->
+      compare_key k k' < 0 && keys_ascending rest
+  | _ -> true
+
+let distinct_data entries =
+  let data = List.map (fun (d, _, _) -> d) entries in
+  List.compare_lengths (List.sort_uniq Algorithm1.compare_datum data) data = 0
+
+let same_entry (d, pos, locked) (d', pos', locked') =
+  Algorithm1.compare_datum d d' = 0
+  && Int.equal pos pos' && Bool.equal locked locked'
+
+(* The keys whose entry lists differ between two snapshots, ascending,
+   found in one merge; both key lists must be strictly ascending. A key
+   missing on one side reads as the empty list, as in [log_assoc]. *)
+let changed_keys a b =
+  let nonempty key l acc = match l with [] -> acc | _ :: _ -> key :: acc in
+  let rec go acc a b =
+    match (a, b) with
+    | [], [] -> List.rev acc
+    | (ka, la) :: a', [] -> go (nonempty ka la acc) a' []
+    | [], (kb, lb) :: b' -> go (nonempty kb lb acc) [] b'
+    | (ka, la) :: a', (kb, lb) :: b' ->
+        let c = compare_key ka kb in
+        if c < 0 then go (nonempty ka la acc) a' b
+        else if c > 0 then go (nonempty kb lb acc) a b'
+        else if la == lb || List.equal same_entry la lb then go acc a' b'
+        else go (ka :: acc) a' b'
+  in
+  go [] a b
+
+(* Fold [f] over every pair of consecutive snapshots, final state
+   included. *)
+let fold_pairs outcome f init =
+  let rec go acc a = function
+    | (_, b) :: rest -> go (f acc a b) b rest
+    | [] -> f acc a outcome.Runner.final_logs
+  in
+  match outcome.Runner.snapshots with
+  | [] -> init
+  | (_, s0) :: rest -> go init s0 rest
+
+(* The consecutive snapshot pairs (final state included) with the log
+   keys their claims visit, in order. The fast plan keeps only the
+   changed keys, and only the pairs that have some: an unchanged log
+   passes claims 2-8 as long as no log lists a datum twice (DESIGN.md
+   "Claims 2-8 on changed logs only"). It needs every snapshot's keys
+   strictly ascending and every list duplicate-free — checked on the
+   first snapshot and on each changed list, which covers the rest by
+   induction. Otherwise every key of either side is visited. *)
+let plan outcome =
+  let exception Slow in
+  let fast acc a b =
+    if not (keys_ascending b) then raise Slow;
+    match changed_keys a b with
+    | [] -> acc
+    | keys ->
+        if List.for_all (fun key -> distinct_data (log_assoc b key)) keys
+        then (a, b, keys) :: acc
+        else raise Slow
+  in
+  let fast_plan () =
+    (match outcome.Runner.snapshots with
+    | (_, s0) :: _
+      when not
+             (keys_ascending s0
+             && List.for_all (fun (_, l) -> distinct_data l) s0) ->
+        raise Slow
+    | _ -> ());
+    fold_pairs outcome fast []
+  in
+  let every_key acc a b = (a, b, keys_of a b) :: acc in
+  List.rev (try fast_plan () with Slow -> fold_pairs outcome every_key [])
+
+(* Fold a check over every planned (a, b, key), stopping at the first
+   failure. *)
+let consecutive outcome f =
+  for_each (fun (a, b, keys) -> for_each (f a b) keys) (plan outcome)
+
 let pp_d = Algorithm1.pp_datum
 
 let claim2 outcome =
-  consecutive outcome (fun a b ->
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          List.fold_left
-            (fun acc (d, _, _) ->
-              let* () = acc in
-              if entry_of b key d <> None then Ok ()
-              else fail "claim 2: %a vanished from a log" pp_d d)
-            (Ok ()) (log_assoc a key))
-        (Ok ()) (keys_of a b))
+  consecutive outcome (fun a b key ->
+      for_each
+        (fun (d, _, _) ->
+          if entry_of b key d <> None then Ok ()
+          else fail "claim 2: %a vanished from a log" pp_d d)
+        (log_assoc a key))
 
 let claim3 outcome =
-  consecutive outcome (fun a b ->
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          List.fold_left
-            (fun acc (d, pos, _) ->
-              let* () = acc in
-              match entry_of b key d with
-              | Some (_, pos', _) when pos' >= pos -> Ok ()
-              | Some _ -> fail "claim 3: position of %a decreased" pp_d d
-              | None -> Ok ())
-            (Ok ()) (log_assoc a key))
-        (Ok ()) (keys_of a b))
+  consecutive outcome (fun a b key ->
+      for_each
+        (fun (d, pos, _) ->
+          match entry_of b key d with
+          | Some (_, pos', _) when pos' >= pos -> Ok ()
+          | Some _ -> fail "claim 3: position of %a decreased" pp_d d
+          | None -> Ok ())
+        (log_assoc a key))
 
 let claim4 outcome =
-  consecutive outcome (fun a b ->
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          List.fold_left
-            (fun acc (d, _, locked) ->
-              let* () = acc in
-              if not locked then Ok ()
-              else
-                match entry_of b key d with
-                | Some (_, _, true) -> Ok ()
-                | _ -> fail "claim 4: %a was unlocked" pp_d d)
-            (Ok ()) (log_assoc a key))
-        (Ok ()) (keys_of a b))
+  consecutive outcome (fun a b key ->
+      for_each
+        (fun (d, _, locked) ->
+          if not locked then Ok ()
+          else
+            match entry_of b key d with
+            | Some (_, _, true) -> Ok ()
+            | _ -> fail "claim 4: %a was unlocked" pp_d d)
+        (log_assoc a key))
 
 let claim5 outcome =
-  consecutive outcome (fun a b ->
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          List.fold_left
-            (fun acc (d, pos, locked) ->
-              let* () = acc in
-              if not locked then Ok ()
-              else
-                match entry_of b key d with
-                | Some (_, pos', _) when pos' = pos -> Ok ()
-                | _ -> fail "claim 5: locked %a moved" pp_d d)
-            (Ok ()) (log_assoc a key))
-        (Ok ()) (keys_of a b))
+  consecutive outcome (fun a b key ->
+      for_each
+        (fun (d, pos, locked) ->
+          if not locked then Ok ()
+          else
+            match entry_of b key d with
+            | Some (_, pos', _) when pos' = pos -> Ok ()
+            | _ -> fail "claim 5: locked %a moved" pp_d d)
+        (log_assoc a key))
 
 (* d <_L d' over snapshot entries: by position, ties by the a-priori
    datum order (the implementation's Algorithm1.compare_datum). *)
@@ -97,80 +150,62 @@ let snap_lt (d, pos, _) (d', pos', _) =
   pos < pos' || (pos = pos' && Algorithm1.compare_datum d d' < 0)
 
 let claim6 outcome =
-  consecutive outcome (fun a b ->
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          let la = log_assoc a key in
-          List.fold_left
-            (fun acc ((d, _, locked) as e) ->
-              let* () = acc in
-              if not locked then Ok ()
-              else
-                List.fold_left
-                  (fun acc ((d', _, _) as e') ->
-                    let* () = acc in
-                    if d = d' || not (snap_lt e e') then Ok ()
-                    else
-                      match (entry_of b key d, entry_of b key d') with
-                      | Some eb, Some eb' when snap_lt eb eb' -> Ok ()
-                      | Some _, Some _ ->
-                          fail "claim 6: order %a < %a flipped" pp_d d pp_d d'
-                      | _ -> Ok ())
-                  (Ok ()) la)
-            (Ok ()) la)
-        (Ok ()) (keys_of a b))
+  consecutive outcome (fun a b key ->
+      let la = log_assoc a key in
+      for_each
+        (fun ((d, _, locked) as e) ->
+          if not locked then Ok ()
+          else
+            for_each
+              (fun ((d', _, _) as e') ->
+                if d = d' || not (snap_lt e e') then Ok ()
+                else
+                  match (entry_of b key d, entry_of b key d') with
+                  | Some eb, Some eb' when snap_lt eb eb' -> Ok ()
+                  | Some _, Some _ ->
+                      fail "claim 6: order %a < %a flipped" pp_d d pp_d d'
+                  | _ -> Ok ())
+              la)
+        la)
 
 let claim7 outcome =
-  consecutive outcome (fun a b ->
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          let la = log_assoc a key in
-          let lb = log_assoc b key in
-          (* d fresh in b; every datum locked in a must be below it. *)
-          List.fold_left
-            (fun acc ((d, _, _) as eb) ->
-              let* () = acc in
-              if entry_of a key d <> None then Ok ()
-              else
-                List.fold_left
-                  (fun acc (d', _, locked) ->
-                    let* () = acc in
-                    if not locked then Ok ()
-                    else
-                      match entry_of b key d' with
-                      | Some eb' when snap_lt eb' eb -> Ok ()
-                      | _ ->
-                          fail "claim 7: fresh %a below locked %a" pp_d d pp_d d')
-                  (Ok ()) la)
-            (Ok ()) lb)
-        (Ok ()) (keys_of a b))
+  consecutive outcome (fun a b key ->
+      let la = log_assoc a key in
+      (* d fresh in b; every datum locked in a must be below it. *)
+      for_each
+        (fun ((d, _, _) as eb) ->
+          if entry_of a key d <> None then Ok ()
+          else
+            for_each
+              (fun (d', _, locked) ->
+                if not locked then Ok ()
+                else
+                  match entry_of b key d' with
+                  | Some eb' when snap_lt eb' eb -> Ok ()
+                  | _ ->
+                      fail "claim 7: fresh %a below locked %a" pp_d d pp_d d')
+              la)
+        (log_assoc b key))
 
 let claim8 outcome =
-  consecutive outcome (fun a b ->
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          List.fold_left
-            (fun acc ((d, _, locked) as ea) ->
-              let* () = acc in
-              if not locked then Ok ()
-              else
-                let preds snap e =
-                  List.filter_map
-                    (fun ((d', _, _) as e') ->
-                      if d' <> d && snap_lt e' e then Some d' else None)
-                    (log_assoc snap key)
-                in
-                match entry_of b key d with
-                | None -> Ok ()
-                | Some eb ->
-                    let pa = preds a ea and pb = preds b eb in
-                    if List.for_all (fun d' -> List.mem d' pa) pb then Ok ()
-                    else fail "claim 8: locked %a gained a predecessor" pp_d d)
-            (Ok ()) (log_assoc a key))
-        (Ok ()) (keys_of a b))
+  consecutive outcome (fun a b key ->
+      for_each
+        (fun ((d, _, locked) as ea) ->
+          if not locked then Ok ()
+          else
+            let preds snap e =
+              List.filter_map
+                (fun ((d', _, _) as e') ->
+                  if d' <> d && snap_lt e' e then Some d' else None)
+                (log_assoc snap key)
+            in
+            match entry_of b key d with
+            | None -> Ok ()
+            | Some eb ->
+                let pa = preds a ea and pb = preds b eb in
+                if List.for_all (fun d' -> List.mem d' pa) pb then Ok ()
+                else fail "claim 8: locked %a gained a predecessor" pp_d d)
+        (log_assoc a key))
 
 let claim9 outcome =
   let cx = Outcome_index.make outcome in

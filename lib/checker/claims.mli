@@ -3,8 +3,15 @@
 
     The temporal claims (2–8) are verified over every pair of
     consecutive snapshots (they are inductive, so consecutive pairs
-    suffice); the remaining claims (9–15) are verified on the trace and
-    the final state. Run the outcome with [~record_snapshots:true]. *)
+    suffice), and on each pair walk only the logs whose entry lists
+    changed: an unchanged log passes all seven. One merge over the two
+    snapshots' ascending keys finds them, testing [==] before structural
+    equality, so a recorded run costs what its steps changed. Outcomes
+    with keys out of order or a datum listed twice in one log fall back
+    to walking every log; verdicts and failure strings are those of
+    [Claims_ref] either way. The remaining claims (9–15) are verified on
+    the trace and the final state. Run the outcome with
+    [~record_snapshots:true]. *)
 
 type verdict = (unit, string) result
 

@@ -868,8 +868,7 @@ let log_snapshot st (g, h) =
   else
     match st.logs.(g).(h) with
     | None -> []
-    | Some l ->
-        List.map (fun d -> (d, Log.pos l d, Log.locked l d)) (Log.entries l)
+    | Some l -> Log.snapshot l
 
 let consensus_instances st = Consensus_table.instances st.cons
 

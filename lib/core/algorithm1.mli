@@ -104,10 +104,12 @@ val phase : t -> pid:int -> m:int -> Trace.phase
 
 val log_keys : t -> (Topology.gid * Topology.gid) list
 (** The logs of the run: normalised pairs [(g, h)], [g ≤ h] (with
-    [(g, g)] standing for [LOG_g]). *)
+    [(g, g)] standing for [LOG_g]), in ascending [(g, h)] order. *)
 
 val log_snapshot : t -> (Topology.gid * Topology.gid) -> (datum * int * bool) list
-(** Entries of a log with position and lock status, in log order. *)
+(** Entries of a log with position and lock status, in log order
+    ({!Log.snapshot}): while the log is unchanged, the physically same
+    list. *)
 
 val consensus_instances : t -> int
 (** Number of [CONS_{m,f}] instances actually decided. *)

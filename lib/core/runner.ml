@@ -23,6 +23,15 @@ let default_horizon workload fp =
 let snapshot_of st =
   List.map (fun key -> (key, Algorithm1.log_snapshot st key)) (Algorithm1.log_keys st)
 
+let record_snapshot snaps st t =
+  let s = snapshot_of st in
+  let same ((g, h), l) ((g', h'), l') =
+    Int.equal g g' && Int.equal h h' && l == l'
+  in
+  match snaps with
+  | (_, prev) :: _ when List.equal same s prev -> (t, prev) :: snaps
+  | _ -> (t, s) :: snaps
+
 let run ?(variant = Algorithm1.Vanilla) ?(seed = 1) ?horizon ?mu ?scheduled
     ?enablement_cache ?batching ?pipelining ?driver
     ?(faults = Channel_fault.none) ?(record_snapshots = false) ~topo ~fp
@@ -46,7 +55,7 @@ let run ?(variant = Algorithm1.Vanilla) ?(seed = 1) ?horizon ?mu ?scheduled
   let snapshots = ref [] in
   let on_tick t =
     (match driver with Some d -> d st ~time:t | None -> ());
-    if record_snapshots then snapshots := (t, snapshot_of st) :: !snapshots
+    if record_snapshots then snapshots := record_snapshot !snapshots st t
   in
   let max_at = List.fold_left (fun acc r -> max acc r.Workload.at) 0 workload in
   (* With a custom schedule the engine cannot distinguish "nothing

@@ -6,7 +6,13 @@
 
 type snapshot =
   ((Topology.gid * Topology.gid) * (Algorithm1.datum * int * bool) list) list
-(** State of every log: entries with (position, locked). *)
+(** State of every log: entries with (position, locked), in log order.
+    Keys are the normalised pairs of {!Algorithm1.log_keys}, in strictly
+    ascending [(g, h)] order. A log that did not change between two
+    ticks has the physically same entry list in both snapshots
+    ({!Log.snapshot}), and a tick at which no log changed shares the
+    previous tick's snapshot ({!record_snapshot}), so recording one per
+    tick costs only the changed logs. *)
 
 type outcome = {
   topo : Topology.t;
@@ -26,6 +32,15 @@ type outcome = {
       (** fate of every announcement copy under the run's channel-fault
           spec ({!Channel_fault.stats_zero} for fault-free runs) *)
 }
+
+val snapshot_of : Algorithm1.t -> snapshot
+(** The current state of every log of a run. *)
+
+val record_snapshot :
+  (int * snapshot) list -> Algorithm1.t -> int -> (int * snapshot) list
+(** [record_snapshot snaps st t] prepends the state at tick [t] to the
+    newest-first [snaps], reusing the previous snapshot itself when no
+    log changed since — the per-tick recording of [~record_snapshots]. *)
 
 val default_horizon : Workload.t -> Failure_pattern.t -> int
 (** A horizon comfortably past every invocation, crash and detector

@@ -169,7 +169,9 @@ let moves_array moves =
 
 (* Replay a move prefix from the initial state. Returns the state at
    the end of the prefix, the engine stats, and the per-move fired
-   flags (whether the pinned process actually executed an action). *)
+   flags (whether the pinned process actually executed an action).
+   [on_tick], if given, sees the fresh state at the start of every
+   tick. *)
 let replay ctx c ?on_tick moves =
   let st =
     Algorithm1.create ~variant:ctx.sc.Scenario.variant
@@ -177,18 +179,14 @@ let replay ctx c ?on_tick moves =
       ~topo:ctx.topo ~mu:ctx.mu ~workload:ctx.workload ()
   in
   let stats, fired =
-    Engine.run_pinned ~fp:ctx.fp ~seed:ctx.sc.Scenario.seed ?on_tick
+    Engine.run_pinned ~fp:ctx.fp ~seed:ctx.sc.Scenario.seed
+      ?on_tick:(Option.map (fun f -> f st) on_tick)
       ~moves:(moves_array moves)
       ~enabled:(fun ~pid ~time -> Algorithm1.enabled st ~pid ~time)
       ~step:(Algorithm1.step st) ()
   in
   c.c_replayed_steps <- c.c_replayed_steps + stats.Engine.executed;
   (st, stats, fired)
-
-let snapshot_of st =
-  List.map
-    (fun key -> (key, Algorithm1.log_snapshot st key))
-    (Algorithm1.log_keys st)
 
 let outcome_of ctx st (stats : Engine.stats) ~snapshots =
   {
@@ -199,7 +197,7 @@ let outcome_of ctx st (stats : Engine.stats) ~snapshots =
     trace = Algorithm1.trace st;
     stats;
     snapshots;
-    final_logs = snapshot_of st;
+    final_logs = Runner.snapshot_of st;
     consensus_instances = Algorithm1.consensus_instances st;
     consensus_rounds = Algorithm1.consensus_rounds st;
     links = Algorithm1.link_stats st;
@@ -241,20 +239,9 @@ let check_terminal ctx c tbl st stats path =
   | Ok () -> ()
   | Error e -> record tbl "termination" e path);
   if ctx.claims then begin
-    let st' =
-      Algorithm1.create ~variant:ctx.sc.Scenario.variant
-        ~faults:ctx.sc.Scenario.faults ~fault_seed:ctx.sc.Scenario.seed
-        ~topo:ctx.topo ~mu:ctx.mu ~workload:ctx.workload ()
-    in
     let snaps = ref [] in
-    let on_tick t = snaps := (t, snapshot_of st') :: !snaps in
-    let stats', _ =
-      Engine.run_pinned ~fp:ctx.fp ~seed:ctx.sc.Scenario.seed ~on_tick
-        ~moves:(moves_array path)
-        ~enabled:(fun ~pid ~time -> Algorithm1.enabled st' ~pid ~time)
-        ~step:(Algorithm1.step st') ()
-    in
-    c.c_replayed_steps <- c.c_replayed_steps + stats'.Engine.executed;
+    let on_tick fresh t = snaps := Runner.record_snapshot !snaps fresh t in
+    let st', stats', _ = replay ctx c ~on_tick path in
     let o = outcome_of ctx st' stats' ~snapshots:(List.rev !snaps) in
     List.iter
       (fun (name, verdict) ->

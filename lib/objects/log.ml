@@ -15,6 +15,10 @@ type 'a entry = { mutable position : int; mutable is_locked : bool }
      [List.rev] of [rev_index] — after a mutation invalidated it, so
      between mutations the walks are O(visited) and incur no
      allocation.
+   - [snap] caches [snapshot]: [None] after any mutation that changes
+     what it lists, including a lock that leaves the order (and so
+     [sorted]) untouched. Between such mutations every [snapshot] call
+     returns the same physical list.
 
    The index relies on [compare] being the a-priori *total* order of
    the specification: distinct data never compare equal (the tie-break
@@ -26,6 +30,7 @@ type 'a t = {
   mutable rev_index : ('a * 'a entry) list;
   mutable sorted : ('a * 'a entry) list;
   mutable sorted_valid : bool;
+  mutable snap : ('a * int * bool) list option;
 }
 
 let create ~compare:cmp =
@@ -36,6 +41,7 @@ let create ~compare:cmp =
     rev_index = [];
     sorted = [];
     sorted_valid = true;
+    snap = Some [];
   }
 
 let head log = log.max_pos + 1
@@ -55,6 +61,7 @@ let append log d =
       log.max_pos <- p;
       log.rev_index <- (d, e) :: log.rev_index;
       log.sorted_valid <- false;
+      log.snap <- None;
       p
 
 let locked log d =
@@ -90,7 +97,8 @@ let bump_and_lock log d k =
           log.max_pos <- max log.max_pos k;
           reposition log d e k
         end;
-        e.is_locked <- true
+        e.is_locked <- true;
+        log.snap <- None
       end
 
 let lt log d d' =
@@ -106,6 +114,16 @@ let sorted_index log =
   log.sorted
 
 let entries log = List.map fst (sorted_index log)
+
+let snapshot log =
+  match log.snap with
+  | Some s -> s
+  | None ->
+      let s =
+        List.map (fun (d, e) -> (d, e.position, e.is_locked)) (sorted_index log)
+      in
+      log.snap <- Some s;
+      s
 
 (* Strict predecessors are a prefix of the ascending index: walk it and
    stop at the first datum not below [d] — O(predecessors), not

@@ -47,6 +47,12 @@ val entries : 'a t -> 'a list
     [bump_and_lock], and only rebuilt (one list reversal) on the first
     read after a mutation. *)
 
+val snapshot : 'a t -> ('a * int * bool) list
+(** Every datum with its position and lock status, in log order. Cached:
+    only a fresh [append] or a [bump_and_lock] that locks changes the
+    result, and between two such mutations every call returns the
+    physically same list, so callers may compare snapshots with [==]. *)
+
 val before : 'a t -> 'a -> 'a list
 (** All data strictly smaller than the given datum (which must be
     present) in the log order. O(predecessors). *)

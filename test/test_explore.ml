@@ -88,6 +88,24 @@ let exhaustive_clean sc name () =
   Alcotest.(check int) (name ^ " quiesces within the default depth") 0
     r.Explore.counters.Explore.truncated
 
+(* [~claims:true] re-replays every terminal's prefix with per-tick
+   snapshots and checks Table 2 on it: clean on chain:1 with two
+   messages (the `explore -t chain:1 --msgs 2 --claims` configuration),
+   and the re-replays show up as extra replayed steps. *)
+let claims_at_terminals () =
+  let sc =
+    Scenario.make ~msgs:[ (0, 0, 0); (0, 0, 0) ] ~n:3 [ g [ 0; 1; 2 ] ]
+  in
+  let plain = Explore.run ~claims:false sc in
+  let checked = Explore.run ~claims:true sc in
+  Alcotest.(check (list string)) "no violation" []
+    (Explore.failing_properties checked);
+  Alcotest.(check bool) "reaches a terminal" true
+    (checked.Explore.counters.Explore.terminals >= 1);
+  Alcotest.(check bool) "terminals re-replayed" true
+    (checked.Explore.counters.Explore.replayed_steps
+    > plain.Explore.counters.Explore.replayed_steps)
+
 (* Blind rediscovery of a deadlock from exploration alone: iterative
    deepening on the always-γ configuration finds a minimal-length
    termination witness in milliseconds, and the witness replays into
@@ -250,6 +268,7 @@ let suite =
     t "engine-level commutation" `Quick commutation;
     t "exhaustive chain is clean" `Quick (exhaustive_clean chain_sc "chain");
     t "exhaustive disjoint is clean" `Quick (exhaustive_clean disjoint_sc "disjoint");
+    t "claims checked at terminals" `Quick claims_at_terminals;
     t "deadlock rediscovered blind" `Quick rediscover_deadlock;
     t "por/cache ablation identity" `Quick ablation_identity;
     t "por reduces multi-component trees" `Quick por_reduces;

@@ -44,6 +44,40 @@ let log_slot_sharing () =
   Alcotest.(check bool) "tie by datum order" true (Log.lt l 3 7);
   Alcotest.(check (list int)) "entries sorted" [ 3; 7 ] (Log.entries l)
 
+(* The snapshot memo: a mutation that changes what the log lists yields
+   a fresh list with the new values; one that changes nothing returns
+   the physically same list. *)
+let log_snapshot_memo () =
+  let entries = Alcotest.(list (triple int int bool)) in
+  let l = Log.create ~compare:Int.compare in
+  ignore (Log.append l 1);
+  let s0 = Log.snapshot l in
+  Alcotest.check entries "first append" [ (1, 1, false) ] s0;
+  Alcotest.(check bool) "repeated read shares" true (Log.snapshot l == s0);
+  ignore (Log.append l 1);
+  Alcotest.(check bool) "idempotent append shares" true (Log.snapshot l == s0);
+  ignore (Log.append l 2);
+  let s1 = Log.snapshot l in
+  Alcotest.(check bool) "fresh append renews" false (s1 == s0);
+  Alcotest.check entries "after fresh append"
+    [ (1, 1, false); (2, 2, false) ]
+    s1;
+  Log.bump_and_lock l 1 5;
+  let s2 = Log.snapshot l in
+  Alcotest.(check bool) "moving bump renews" false (s2 == s1);
+  Alcotest.check entries "after moving bump" [ (2, 2, false); (1, 5, true) ] s2;
+  Log.bump_and_lock l 2 2;
+  let s3 = Log.snapshot l in
+  Alcotest.(check bool) "lock-only bump renews" false (s3 == s2);
+  Alcotest.check entries "after lock-only bump"
+    [ (2, 2, true); (1, 5, true) ]
+    s3;
+  Log.bump_and_lock l 1 9;
+  Log.bump_and_lock l 2 7;
+  Alcotest.(check bool) "bump of a locked datum shares" true
+    (Log.snapshot l == s3);
+  Alcotest.check entries "locked data frozen" [ (2, 2, true); (1, 5, true) ] s3
+
 (* Random op sequences preserve the Table 2 log laws. *)
 let log_laws =
   QCheck.Test.make ~name:"log laws under random ops (claims 2-8)" ~count:100
@@ -64,7 +98,8 @@ let log_laws =
         ops)
 
 (* The incremental sorted index stays equal to a from-scratch re-sort
-   after every operation, and the fold views agree with the lists. *)
+   after every operation, and the fold views and the snapshot agree
+   with the lists. *)
 let log_index_matches_naive =
   QCheck.Test.make ~name:"log incremental index = naive re-sort" ~count:200
     QCheck.(small_list (pair (int_range 0 8) (int_range 0 10)))
@@ -86,6 +121,8 @@ let log_index_matches_naive =
               !inserted
           in
           Log.entries l = naive
+          && Log.snapshot l
+             = List.map (fun d -> (d, Log.pos l d, Log.locked l d)) naive
           && Log.fold_entries l (fun acc x -> x :: acc) [] = List.rev naive
           && List.for_all
                (fun d ->
@@ -188,6 +225,7 @@ let suite =
     t "log basics" `Quick log_basics;
     t "log bump and lock" `Quick log_bump;
     t "log slot sharing" `Quick log_slot_sharing;
+    t "log snapshot memo" `Quick log_snapshot_memo;
     t "consensus table" `Quick consensus_table;
     t "adopt-commit spec" `Quick adopt_commit_spec;
     t "engine determinism" `Quick engine_determinism;
