@@ -431,7 +431,7 @@ let claims_arg =
     & info [ "claims" ]
         ~doc:
           "Also check the Table 2 claims at every terminal state \
-           (re-replays each terminal with per-tick snapshots; slower).")
+           (every path carries its per-tick log snapshots; slower).")
 
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")

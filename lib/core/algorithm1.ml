@@ -280,6 +280,49 @@ let create ?(variant = Vanilla) ?(enablement_cache = true)
     bump_ver = Array.make (Topology.num_groups topo) 0;
   }
 
+(* Every array the stepper (or [release]) writes is copied to the
+   depth of its mutable cells; everything else is either never written
+   after [create] (topology, μ, messages, [h_key], [groups_of],
+   [cover]) or an immutable value held in a mutable field (the scalars,
+   [links], the [events] list), which [{ st with ... }] already
+   separates. Two tables are written only in one mode, and are shared
+   outside it, where neither copy can ever write them: the batched
+   stepper's memos ([att_*], [wb_*]) and the announcement arrival
+   ticks ([visible_at], drawn only under an active fault spec). *)
+let copy st =
+  let copy2 a = Array.map Array.copy a in
+  let batched f a = if st.batching then f a else a in
+  {
+    st with
+    req_at = Array.copy st.req_at;
+    logs = Array.map (Array.map (Option.map Log.copy)) st.logs;
+    lists = Array.map (fun l -> ref !l) st.lists;
+    listed = Array.copy st.listed;
+    pend_hs = Array.copy st.pend_hs;
+    pend_k = Array.copy st.pend_k;
+    cons = Consensus_table.copy st.cons;
+    phase = copy2 st.phase;
+    relevant = Array.copy st.relevant;
+    visible_at =
+      (if Channel_fault.is_none st.faults then st.visible_at
+       else copy2 st.visible_at);
+    ver_group = Array.copy st.ver_group;
+    ver_proc = Array.copy st.ver_proc;
+    fail_g = copy2 st.fail_g;
+    fail_p = copy2 st.fail_p;
+    fail_t = copy2 st.fail_t;
+    att_stamp = batched copy2 st.att_stamp;
+    att_g = batched copy2 st.att_g;
+    att_p = batched copy2 st.att_p;
+    del_seen = Array.copy st.del_seen;
+    del_pruned = Array.copy st.del_pruned;
+    sent = Array.copy st.sent;
+    stab_done = copy2 st.stab_done;
+    wb_blk = batched (Array.map copy2) st.wb_blk;
+    wb_vg = batched (Array.map copy2) st.wb_vg;
+    bump_ver = Array.copy st.bump_ver;
+  }
+
 let emit st ev =
   st.events <- ev st.seq :: st.events;
   st.seq <- st.seq + 1

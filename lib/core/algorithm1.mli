@@ -82,6 +82,13 @@ val create :
     bit-identical either way; [false] recovers the reference stepper
     (used by the trace-identity tests). *)
 
+val copy : t -> t
+(** An independent copy of the run's state: protocol objects, phases,
+    trace so far and every stepper cache. Stepping either one never
+    changes the other, and both continue exactly as the original would
+    have. The systematic explorer derives each child state from a copy
+    of its parent. *)
+
 val step : t -> pid:int -> time:int -> bool
 (** Execute at most one enabled action of process [pid] (with
     [batching], every enabled action, drained to a fixpoint); returns

@@ -1,7 +1,7 @@
 (* Bounded DPOR-lite exploration of Algorithm 1 schedules. Every node
-   is reconstructed by replaying its move prefix from the initial state
-   (Engine.run_pinned), so the frontier is a list of move sequences and
-   every witness is replayable by construction. See explore.mli for the
+   is a private copy of its parent stepped through one pinned tick
+   (Engine.pinned_tick), and carries its move prefix, so every witness
+   is replayable as a pinned schedule. See explore.mli for the
    reduction and soundness story. *)
 
 type move = Step of int | Idle
@@ -81,7 +81,7 @@ let default_depth sc =
   steady_time sc + List.fold_left (fun acc m -> acc + per_msg m) 0 sc.Scenario.msgs
 
 (* ------------------------------------------------------------------ *)
-(* Exploration context and replay primitive                            *)
+(* Exploration context and child derivation                            *)
 (* ------------------------------------------------------------------ *)
 
 type ctx = {
@@ -164,29 +164,34 @@ let make_ctx ~por ~cache ~claims ~stop_on_first sc =
     stop_on_first;
   }
 
-let moves_array moves =
-  Array.of_list (List.map (function Step p -> Some p | Idle -> None) moves)
-
-(* Replay a move prefix from the initial state. Returns the state at
-   the end of the prefix, the engine stats, and the per-move fired
-   flags (whether the pinned process actually executed an action).
-   [on_tick], if given, sees the fresh state at the start of every
-   tick. *)
-let replay ctx c ?on_tick moves =
+(* The initial state, before tick 0: nothing executed yet. *)
+let root ctx =
   let st =
     Algorithm1.create ~variant:ctx.sc.Scenario.variant
       ~faults:ctx.sc.Scenario.faults ~fault_seed:ctx.sc.Scenario.seed
       ~topo:ctx.topo ~mu:ctx.mu ~workload:ctx.workload ()
   in
-  let stats, fired =
-    Engine.run_pinned ~fp:ctx.fp ~seed:ctx.sc.Scenario.seed
-      ?on_tick:(Option.map (fun f -> f st) on_tick)
-      ~moves:(moves_array moves)
-      ~enabled:(fun ~pid ~time -> Algorithm1.enabled st ~pid ~time)
-      ~step:(Algorithm1.step st) ()
+  let stats =
+    {
+      Engine.steps = Array.make ctx.n 0;
+      executed = 0;
+      ticks_used = 0;
+      quiescent = false;
+    }
   in
-  c.c_replayed_steps <- c.c_replayed_steps + stats.Engine.executed;
-  (st, stats, fired)
+  (st, stats)
+
+(* The child of a node at tick [t] under one move: a private copy of
+   the parent stepped through the pinned tick. Returns the child state,
+   its stats and whether the move fired; the parent is not touched. *)
+let derive ctx c st stats ~t move =
+  let st' = Algorithm1.copy st in
+  let stats', fired =
+    Engine.pinned_tick ~fp:ctx.fp ~enabled:(Algorithm1.enabled st')
+      ~step:(Algorithm1.step st') stats ~time:t move
+  in
+  if fired then c.c_replayed_steps <- c.c_replayed_steps + 1;
+  (st', stats', fired)
 
 let outcome_of ctx st (stats : Engine.stats) ~snapshots =
   {
@@ -231,18 +236,15 @@ let check_safety tbl o path =
 
 (* Terminal nodes: no process can act and the clock is steady — a
    completed run or a genuine deadlock. Termination becomes meaningful
-   here; with [claims] the prefix is re-replayed with per-tick
-   snapshots for the Table 2 invariants. *)
-let check_terminal ctx c tbl st stats path =
+   here; with [claims] the Table 2 invariants are checked on the
+   per-tick snapshots the node carries ([snaps], newest first). *)
+let check_terminal ctx tbl st stats snaps path =
   let o = outcome_of ctx st stats ~snapshots:[] in
   (match Properties.termination o with
   | Ok () -> ()
   | Error e -> record tbl "termination" e path);
   if ctx.claims then begin
-    let snaps = ref [] in
-    let on_tick fresh t = snaps := Runner.record_snapshot !snaps fresh t in
-    let st', stats', _ = replay ctx c ~on_tick path in
-    let o = outcome_of ctx st' stats' ~snapshots:(List.rev !snaps) in
+    let o = { o with Runner.snapshots = List.rev snaps } in
     List.iter
       (fun (name, verdict) ->
         match verdict with
@@ -256,12 +258,12 @@ let check_terminal ctx c tbl st stats path =
 (* ------------------------------------------------------------------ *)
 
 (* Probe the children of a node: for every alive, hint-enabled process
-   replay prefix+[Step p] and keep the ones whose move actually fired
-   (the replayed child state rides along, so expansion and probing are
+   derive the [Step p] child and keep the ones whose move actually
+   fired (the child state rides along, so expansion and probing are
    one pass). POR then restricts the fired set to the interaction
    component with the fewest enabled processes (persistent set), and
    an [Idle] child is prepended while the clock is not steady. *)
-let candidates ctx c ~path ~st ~t =
+let candidates ctx c ~st ~stats ~t =
   let alive = Failure_pattern.alive_at ctx.fp t in
   let hinted =
     List.filter
@@ -271,9 +273,8 @@ let candidates ctx c ~path ~st ~t =
   let probes =
     List.filter_map
       (fun p ->
-        let st', stats', fired = replay ctx c (path @ [ Step p ]) in
-        if t < Array.length fired && fired.(t) then Some (p, st', stats')
-        else None)
+        let st', stats', fired = derive ctx c st stats ~t (Some p) in
+        if fired then Some (p, st', stats') else None)
       hinted
   in
   let selected =
@@ -306,7 +307,7 @@ let candidates ctx c ~path ~st ~t =
     (* An idle tick is also a candidate while an announcement copy is
        still in flight: its arrival enables guards by time alone. *)
     if t < ctx.t_steady || t < Algorithm1.visibility_horizon st then begin
-      let st', stats', _ = replay ctx c (path @ [ Idle ]) in
+      let st', stats', _ = derive ctx c st stats ~t None in
       [ (Idle, st', stats') ]
     end
     else []
@@ -317,11 +318,17 @@ let candidates ctx c ~path ~st ~t =
 (* DFS                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let rec visit ctx c cache_tbl vt ~path ~st ~stats ~sleep ~t ~remaining =
+(* A node at tick [t]: its state [st] (owned by this visit: no other
+   node reads it), engine [stats], and with [claims] the log snapshots
+   of ticks [0 .. t-1], newest first. *)
+let rec visit ctx c cache_tbl vt ~path ~st ~stats ~snaps ~sleep ~t ~remaining
+    =
   if ctx.stop_on_first && Hashtbl.length vt > 0 then ()
-  else visit_live ctx c cache_tbl vt ~path ~st ~stats ~sleep ~t ~remaining
+  else
+    visit_live ctx c cache_tbl vt ~path ~st ~stats ~snaps ~sleep ~t ~remaining
 
-and visit_live ctx c cache_tbl vt ~path ~st ~stats ~sleep ~t ~remaining =
+and visit_live ctx c cache_tbl vt ~path ~st ~stats ~snaps ~sleep ~t ~remaining
+    =
   c.c_nodes <- c.c_nodes + 1;
   if t > c.c_max_depth then c.c_max_depth <- t;
   let covered =
@@ -358,10 +365,15 @@ and visit_live ctx c cache_tbl vt ~path ~st ~stats ~sleep ~t ~remaining =
     if check_safety vt o path then () (* violating subtree pruned *)
     else if remaining = 0 then c.c_truncated <- c.c_truncated + 1
     else
-      match candidates ctx c ~path ~st ~t with
+      (* Tick [t]'s snapshot, taken before its move, is part of every
+         child's prefix. *)
+      let child_snaps =
+        if ctx.claims then Runner.record_snapshot snaps st t else []
+      in
+      match candidates ctx c ~st ~stats ~t with
       | [] ->
           c.c_terminals <- c.c_terminals + 1;
-          check_terminal ctx c vt st stats path
+          check_terminal ctx vt st stats snaps path
       | children ->
           let explored = ref Pset.empty in
           List.iter
@@ -371,8 +383,8 @@ and visit_live ctx c cache_tbl vt ~path ~st ~stats ~sleep ~t ~remaining =
                   (* Idle is dependent on every move: it empties the
                      child's sleep set and never sleeps itself. *)
                   visit ctx c cache_tbl vt ~path:(path @ [ Idle ]) ~st:st'
-                    ~stats:stats' ~sleep:Pset.empty ~t:(t + 1)
-                    ~remaining:(remaining - 1)
+                    ~stats:stats' ~snaps:child_snaps ~sleep:Pset.empty
+                    ~t:(t + 1) ~remaining:(remaining - 1)
               | Step p ->
                   if Pset.mem p sleep then
                     c.c_sleep_skips <- c.c_sleep_skips + 1
@@ -385,8 +397,8 @@ and visit_live ctx c cache_tbl vt ~path ~st ~stats ~sleep ~t ~remaining =
                       else Pset.empty
                     in
                     visit ctx c cache_tbl vt ~path:(path @ [ Step p ]) ~st:st'
-                      ~stats:stats' ~sleep:child_sleep ~t:(t + 1)
-                      ~remaining:(remaining - 1);
+                      ~stats:stats' ~snaps:child_snaps ~sleep:child_sleep
+                      ~t:(t + 1) ~remaining:(remaining - 1);
                     explored := Pset.add p !explored
                   end)
             children
@@ -394,19 +406,19 @@ and visit_live ctx c cache_tbl vt ~path ~st ~stats ~sleep ~t ~remaining =
 
 (* One root branch = one unit of [--jobs] fan-out. Fresh cache, fresh
    counters, fresh violation table per branch — also under jobs = 1, so
-   reports are bit-identical across job counts. The branch input
-   (including its sleep set, which depends on earlier siblings) is
-   precomputed sequentially by [branch_inputs], so workers share
-   nothing mutable. *)
-let explore_branch ctx ~depth (mv, st, stats, sleep) =
+   reports are bit-identical across job counts. The branch input — its
+   own state copy, stats, snapshots and sleep set (which depends on
+   earlier siblings) — is precomputed sequentially by [branch_inputs],
+   so a worker mutates only states no other worker can reach. *)
+let explore_branch ctx ~depth (mv, st, stats, snaps, sleep) =
   let c = fresh_acc () in
   let vt = Hashtbl.create 16 in
   let cache_tbl = Hashtbl.create 1024 in
-  visit ctx c cache_tbl vt ~path:[ mv ] ~st ~stats ~sleep ~t:1
+  visit ctx c cache_tbl vt ~path:[ mv ] ~st ~stats ~snaps ~sleep ~t:1
     ~remaining:(depth - 1);
   (c, vt, if ctx.cache then Hashtbl.length cache_tbl else 0)
 
-let branch_inputs ctx children =
+let branch_inputs ctx ~snaps children =
   List.mapi
     (fun i (mv, st, stats) ->
       let sleep =
@@ -426,7 +438,7 @@ let branch_inputs ctx children =
                    Pset.empty
             else Pset.empty
       in
-      (mv, st, stats, sleep))
+      (mv, st, stats, snaps, sleep))
     children
 
 (* ------------------------------------------------------------------ *)
@@ -441,7 +453,7 @@ let run ?(por = true) ?(cache = true) ?(claims = false) ?(stop_on_first = false)
   in
   let rootc = fresh_acc () in
   let viols = Hashtbl.create 16 in
-  let st0, stats0, _ = replay ctx rootc [] in
+  let st0, stats0 = root ctx in
   rootc.c_nodes <- 1;
   let o0 = outcome_of ctx st0 stats0 ~snapshots:[] in
   let root_bad = check_safety viols o0 [] in
@@ -452,13 +464,14 @@ let run ?(por = true) ?(cache = true) ?(claims = false) ?(stop_on_first = false)
       [||]
     end
     else
-      match candidates ctx rootc ~path:[] ~st:st0 ~t:0 with
+      let snaps = if claims then Runner.record_snapshot [] st0 0 else [] in
+      match candidates ctx rootc ~st:st0 ~stats:stats0 ~t:0 with
       | [] ->
           rootc.c_terminals <- 1;
-          check_terminal ctx rootc viols st0 stats0 [];
+          check_terminal ctx viols st0 stats0 [] [];
           [||]
       | children ->
-          let inputs = branch_inputs ctx children in
+          let inputs = branch_inputs ctx ~snaps children in
           Domain_pool.map ~jobs (List.length inputs) (fun i ->
               explore_branch ctx ~depth (List.nth inputs i))
   in
@@ -538,7 +551,7 @@ let pp_report fmt r =
      truncated@,\
      reductions: %d persistent-set skips, %d sleep-set skips, %d cache hits \
      (%d distinct states)@,\
-     replayed %d protocol actions, max depth %d@]"
+     executed %d protocol actions, max depth %d@]"
     c.nodes r.depth r.t_steady c.terminals c.truncated c.por_skips
     c.sleep_skips c.cache_hits c.distinct_states c.replayed_steps c.max_depth;
   match r.violations with

@@ -4,11 +4,15 @@
     The explorer enumerates schedules of the deterministic simulation:
     a schedule is a sequence of moves, one per engine tick, each either
     [Step p] (tick [t] schedules exactly process [p]) or [Idle] (nobody
-    runs, the clock advances). Every node of the search tree is
-    reconstructed by replaying its move prefix from the initial state
-    through {!Engine.run_pinned}, so the frontier needs no state
-    snapshots and every reported witness is replayable by construction
-    (as a {!Scenario.Pinned} schedule).
+    runs, the clock advances). The root is the initial state; every
+    other node is a private copy of its parent ({!Algorithm1.copy})
+    stepped through one pinned tick ({!Engine.pinned_tick}), so no
+    prefix is ever replayed. A node's children are derived together
+    (probing which moves fire {e is} deriving them), so the depth-first
+    search holds the states of the current path and of their
+    not-yet-visited siblings — at most depth × branching states. Each
+    node carries its move prefix, so every reported witness is
+    replayable as a {!Scenario.Pinned} schedule.
 
     Time handling: [Idle] moves are offered only while [t < t_steady]
     ({!steady_time}) — the first tick from which every time-dependent
@@ -39,12 +43,16 @@
     checking representatives of each commutation class preserves
     detection. Termination is evaluated at terminal nodes (no process
     can act and [t >= t_steady] — a genuine deadlock or a completed
-    run); [~claims:true] additionally re-replays each terminal with
-    per-tick snapshots and checks Table 2 ({!Claims.all}).
+    run); with [~claims:true] every node also carries the per-tick log
+    snapshots of its path ({!Runner.record_snapshot}, shared with its
+    siblings), and each terminal checks Table 2 ({!Claims.all}) on
+    them.
 
     Determinism: reports are bit-identical across [~jobs] values — the
     root branches fan out over {!Domain_pool} with per-branch caches
-    and counters, merged in branch order. *)
+    and counters, merged in branch order. Each branch's state, stats,
+    snapshots and sleep set are derived before the fan-out, so a worker
+    only ever mutates states of its own branch. *)
 
 type move =
   | Step of int  (** schedule exactly this process for one tick *)
@@ -72,7 +80,10 @@ type counters = {
   cache_hits : int;  (** revisits pruned by the visited-state cache *)
   sleep_skips : int;  (** enabled moves suppressed by sleep sets *)
   por_skips : int;  (** enabled moves outside the persistent set *)
-  replayed_steps : int;  (** total protocol actions executed by replays *)
+  replayed_steps : int;
+      (** protocol actions executed to build nodes: one per fired child
+          (POR-pruned probes included); [~claims] executes nothing
+          more *)
   distinct_states : int;
       (** fingerprints cached, summed per root branch; [0] with the
           cache ablated *)

@@ -5,67 +5,121 @@ let equal = String.equal
 
 let to_hex (d : t) = Digest.to_hex d
 
+(* The rendering is built with plain buffer appends (no format
+   interpretation): it runs once per explored node. Non-negative ints —
+   every id, position and delay — are written digit by digit, which
+   spells them exactly as [string_of_int] without its C call. *)
+let rec add_int b i =
+  if i < 0 then Buffer.add_string b (string_of_int i)
+  else begin
+    if i >= 10 then add_int b (i / 10);
+    Buffer.add_char b (Char.chr (Char.code '0' + (i mod 10)))
+  end
+
+let add_ints b sep l =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char b sep;
+      add_int b x)
+    l
+
 let datum_tag b d =
   match d with
-  | Algorithm1.Msg m -> Printf.ksprintf (Buffer.add_string b) "m%d" m
+  | Algorithm1.Msg m ->
+      Buffer.add_char b 'm';
+      add_int b m
   | Algorithm1.Pend (m, h, i) ->
-      Printf.ksprintf (Buffer.add_string b) "p%d.%d.%d" m h i
+      Buffer.add_char b 'p';
+      add_ints b '.' [ m; h; i ]
   | Algorithm1.Stab (m, h) ->
-      Printf.ksprintf (Buffer.add_string b) "s%d.%d" m h
+      Buffer.add_char b 's';
+      add_ints b '.' [ m; h ]
+
+(* Per-process delivery orders (oldest first) in one pass over the
+   event list, without building the trace's lookup index. *)
+let delivery_orders ~n st =
+  let rev = Array.make n [] in
+  List.iter
+    (function
+      | Trace.Deliver { m; p; _ } -> rev.(p) <- m :: rev.(p)
+      | Trace.Invoke _ | Trace.Send _ | Trace.Phase_change _ -> ())
+    (Algorithm1.trace st).Trace.events;
+  Array.map List.rev rev
 
 let render ~time ~topo ~msgs st =
   let b = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "t%d" time;
+  let chr = Buffer.add_char b in
+  (* A field: its tag, then its ints joined by '.'. *)
+  let field tag ints =
+    Buffer.add_string b tag;
+    add_ints b '.' ints
+  in
+  field "t" [ time ];
   (* Shared logs: (datum, position, locked) in log order. [log_keys]
      returns normalised (g, h) pairs in a fixed order. *)
   List.iter
     (fun ((g, h) as key) ->
-      add "|L%d.%d:" g h;
+      field "|L" [ g; h ];
+      chr ':';
       List.iter
         (fun (d, pos, locked) ->
           datum_tag b d;
-          add "@%d%c;" pos (if locked then '!' else '.'))
+          chr '@';
+          add_int b pos;
+          chr (if locked then '!' else '.');
+          chr ';')
         (Algorithm1.log_snapshot st key))
     (Algorithm1.log_keys st);
   (* Prop. 1 shared per-group lists and the listed (= invoked) flags. *)
   List.iter
     (fun g ->
-      add "|S%d:%s" g
-        (String.concat ","
-           (List.map string_of_int (Algorithm1.list_snapshot st g))))
+      field "|S" [ g ];
+      chr ':';
+      add_ints b ',' (Algorithm1.list_snapshot st g))
     (Topology.gids topo);
   for m = 0 to msgs - 1 do
-    add "|i%d%c" m (if Algorithm1.listed st ~m then 'y' else 'n')
+    field "|i" [ m ];
+    chr (if Algorithm1.listed st ~m then 'y' else 'n')
   done;
   (* Consensus decisions, in the canonical (message, family-key) order. *)
   List.iter
     (fun ((m, fam), v) ->
-      add "|C%d.%s=%d" m (String.concat "." (List.map string_of_int fam)) v)
+      field "|C" [ m ];
+      chr '.';
+      add_ints b '.' fam;
+      chr '=';
+      add_int b v)
     (Algorithm1.consensus_decisions st);
   (* Pending announcement visibility (only under an active fault spec,
      so fault-free fingerprints are byte-identical to the pre-fault
      ones): for every (process, message) still waiting on its copy,
      the remaining delay relative to [time] — or a lost marker. *)
+  let n = Topology.n topo in
   (if not (Channel_fault.is_none (Algorithm1.channel_faults st)) then
-     let n = Topology.n topo in
      for p = 0 to n - 1 do
        for m = 0 to msgs - 1 do
          match Algorithm1.visibility st ~pid:p ~m ~time with
          | `Visible -> ()
-         | `Pending d -> add "|v%d.%d+%d" p m d
-         | `Lost -> add "|v%d.%d x" p m
+         | `Pending d ->
+             field "|v" [ p; m ];
+             chr '+';
+             add_int b d
+         | `Lost ->
+             field "|v" [ p; m ];
+             Buffer.add_string b " x"
        done
      done);
   (* Per-process protocol phases and delivery orders. *)
-  let tr = Algorithm1.trace st in
-  for p = 0 to tr.Trace.n - 1 do
-    add "|f%d:" p;
+  let orders = delivery_orders ~n st in
+  for p = 0 to n - 1 do
+    field "|f" [ p ];
+    chr ':';
     for m = 0 to msgs - 1 do
-      add "%d" (Trace.phase_rank (Algorithm1.phase st ~pid:p ~m))
+      add_int b (Trace.phase_rank (Algorithm1.phase st ~pid:p ~m))
     done;
-    add "|D%d:%s" p
-      (String.concat "," (List.map string_of_int (Trace.delivery_order tr p)))
+    field "|D" [ p ];
+    chr ':';
+    add_ints b ',' orders.(p)
   done;
   Buffer.contents b
 

@@ -44,6 +44,22 @@ let create ~compare:cmp =
     snap = Some [];
   }
 
+(* Fresh entry records (they are mutated in place), a fresh table over
+   them, and the index rebuilt in the same order; [snap] is an
+   immutable list and is shared, so an unchanged log keeps returning
+   the physically same snapshot across the copy. *)
+let copy log =
+  let table = Hashtbl.create (max 16 (Hashtbl.length log.table)) in
+  let rev_index =
+    List.map
+      (fun (d, e) ->
+        let e' = { position = e.position; is_locked = e.is_locked } in
+        Hashtbl.replace table d e';
+        (d, e'))
+      log.rev_index
+  in
+  { log with table; rev_index; sorted = []; sorted_valid = false }
+
 let head log = log.max_pos + 1
 
 let mem log d = Hashtbl.mem log.table d

@@ -20,6 +20,12 @@ val create : compare:('a -> 'a -> int) -> 'a t
     It must be a {e total} order: distinct data never compare equal
     (the incremental sorted index identifies data through it). *)
 
+val copy : 'a t -> 'a t
+(** An independent log with the same entries, positions and locks:
+    mutating either one never changes the other. The cached
+    {!snapshot} is shared, so until the copy is mutated its snapshot is
+    physically the original's. *)
+
 val append : 'a t -> 'a -> int
 (** Insert at the head slot and return the datum's position. Does
     nothing (returns the current position) if already present. *)

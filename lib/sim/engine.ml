@@ -90,29 +90,29 @@ let run ~fp ~horizon ?(quiesce_after = 0) ?(live_until = fun () -> 0)
   in
   tick 0
 
-(* A pinned run executes one prescribed move per tick: tick [t] offers
-   the step only to [moves.(t)] ([None] lets the tick pass with nobody
-   scheduled). Built on [run]'s [~scheduled] hook, so crash filtering
-   and the per-tick draw discipline are exactly those of a free run;
-   the shuffle of a singleton (or empty) scheduled set is
-   order-trivial, making pinned runs independent of [seed]. The
-   explorer (lib/explore) replays its DFS frontier through this
-   entry point instead of snapshotting simulator state. *)
-let run_pinned ~fp ?(seed = 1) ?enabled ?(on_tick = fun (_ : int) -> ())
-    ~(moves : int option array) ~step () =
-  let d = Array.length moves in
-  let fired = Array.make (max d 1) false in
-  let scheduled t =
-    if t >= d then Pset.empty
-    else match moves.(t) with Some p -> Pset.singleton p | None -> Pset.empty
+(* One pinned tick: tick [time] offers a step only to the pinned
+   process ([None] lets the tick pass with nobody scheduled). This is
+   the tick of a free run whose scheduled set is that singleton: a
+   crashed process is not scheduled, the hint short-circuits [step],
+   and a singleton leaves nothing for the shuffle to permute. No
+   quiescence is detected, so the returned stats are those of a run
+   whose horizon ends with this tick. [stats] is not mutated. *)
+let pinned_tick ~fp ~enabled ~step (stats : stats) ~time move =
+  let fired =
+    match move with
+    | None -> false
+    | Some p ->
+        p >= 0
+        && p < Failure_pattern.n fp
+        && (not (Failure_pattern.is_crashed_at fp p time))
+        && enabled ~pid:p ~time && step ~pid:p ~time
   in
-  let step ~pid ~time =
-    let r = step ~pid ~time in
-    if r && time < d then fired.(time) <- true;
-    r
+  let steps = Array.copy stats.steps in
+  let executed =
+    match move with
+    | Some p when fired ->
+        steps.(p) <- steps.(p) + 1;
+        stats.executed + 1
+    | _ -> stats.executed
   in
-  let stats =
-    run ~fp ~horizon:(d - 1) ~quiesce_after:d ~seed ~scheduled ?enabled
-      ~on_tick ~step ()
-  in
-  (stats, Array.sub fired 0 d)
+  ({ steps; executed; ticks_used = time + 1; quiescent = false }, fired)

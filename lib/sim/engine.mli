@@ -50,22 +50,24 @@ val run :
     per-tick RNG shuffle still covers the full scheduled set, so the
     draw sequence — and hence the run — is unchanged by the hint. *)
 
-val run_pinned :
+val pinned_tick :
   fp:Failure_pattern.t ->
-  ?seed:int ->
-  ?enabled:(pid:int -> time:int -> bool) ->
-  ?on_tick:(int -> unit) ->
-  moves:int option array ->
+  enabled:(pid:int -> time:int -> bool) ->
   step:(pid:int -> time:int -> bool) ->
-  unit ->
-  stats * bool array
-(** One prescribed move per tick: tick [t] schedules exactly
-    [moves.(t)] (or nobody, for [None]), and the run stops after the
-    last move — quiescence detection is disabled, so a pinned prefix
-    always executes in full. Returns the engine stats together with a
-    per-move flag telling whether that tick's process actually executed
-    an action (crashed or disabled processes let the tick pass). Pinned
-    runs are deterministic and independent of [seed]: a scheduled set
-    of at most one element leaves nothing for the per-tick shuffle to
-    permute. This is the replay primitive of the systematic explorer
-    (lib/explore). *)
+  stats ->
+  time:int ->
+  int option ->
+  stats * bool
+(** [pinned_tick ~fp ~enabled ~step stats ~time move] runs tick [time]
+    with one prescribed move: [Some p] schedules exactly [p], [None]
+    nobody. The step fires iff [p] is alive at [time], [enabled] holds and
+    [step] returns [true]. Returns the stats after the tick — [stats]
+    with [steps.(p)] and [executed] raised by one if the step fired,
+    [ticks_used = time + 1], [quiescent = false] — and whether it
+    fired; [stats] itself is left untouched. Chaining it from
+    [{ steps = all zero; executed = 0; ticks_used = 0; quiescent = false }]
+    over ticks [0 .. d-1] is exactly a run of {!run} on horizon [d - 1]
+    whose tick [t] schedules only the [t]-th move, quiescence disabled:
+    pinned runs are deterministic and independent of any seed. This is
+    how the systematic explorer (lib/explore) derives a child state
+    from a copy of its parent. *)

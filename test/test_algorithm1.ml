@@ -298,6 +298,75 @@ let e2e_claims =
       let o = Scenario.run ~record_snapshots:true s in
       List.for_all (fun (_, v) -> v = Ok ()) (Claims.all o))
 
+(* ---------------- state copies ------------------------------------ *)
+
+(* Copy a run mid-way, then drive the copy to the end before the
+   original, both on the same round-robin schedule: neither may see the
+   other's steps, so both end with the trace and logs of one
+   uninterrupted run. Covered for the scalar and the batched stepper,
+   and under a lossy stubborn channel. *)
+let copy_mid_run () =
+  let topo = Topology.figure1 in
+  let fp = Failure_pattern.never ~n:5 in
+  let workload = Workload.random (Rng.make 4) ~msgs:6 ~max_at:6 topo in
+  let mu = Mu.make ~seed:1 topo fp in
+  let drive st ~from ~upto =
+    for time = from to upto - 1 do
+      for pid = 0 to Topology.n topo - 1 do
+        ignore (Algorithm1.step st ~pid ~time)
+      done
+    done
+  in
+  let final st =
+    ((Algorithm1.trace st).Trace.events,
+     List.map (Algorithm1.log_snapshot st) (Algorithm1.log_keys st))
+  in
+  List.iter
+    (fun (name, batching, faults) ->
+      let make () =
+        Algorithm1.create ~batching ~faults ~topo ~mu ~workload ()
+      in
+      let whole = make () in
+      drive whole ~from:0 ~upto:60;
+      let st = make () in
+      drive st ~from:0 ~upto:3;
+      let at_copy = Algorithm1.event_seq st in
+      let c = Algorithm1.copy st in
+      drive c ~from:3 ~upto:60;
+      Alcotest.(check bool) (name ^ ": copy runs on") true (final c = final whole);
+      drive st ~from:3 ~upto:60;
+      Alcotest.(check bool) (name ^ ": original runs on") true
+        (final st = final whole);
+      (* the copy is taken mid-run: invocations and deliveries follow *)
+      Alcotest.(check bool) (name ^ ": invokes after the copy") true
+        (List.exists
+           (function Trace.Invoke { seq; _ } -> seq >= at_copy | _ -> false)
+           (fst (final whole)));
+      Alcotest.(check bool) (name ^ ": the run delivers") true
+        (List.exists
+           (function Trace.Deliver _ -> true | _ -> false)
+           (fst (final whole))))
+    [
+      ("scalar", false, Channel_fault.none);
+      ("batched", true, Channel_fault.none);
+      ( "stubborn drop",
+        false,
+        { Channel_fault.drop = 2_500; dup = 0; delay = 2; stubborn = true } );
+    ]
+
+(* [release] on a copy lowers only the copy's invocation time. *)
+let copy_release () =
+  let topo = Topology.figure1 in
+  let fp = Failure_pattern.never ~n:5 in
+  let workload = Workload.make [ (0, 0, Workload.never) ] topo in
+  let st = Algorithm1.create ~topo ~mu:(Mu.make ~seed:1 topo fp) ~workload () in
+  let c = Algorithm1.copy st in
+  Algorithm1.release c ~m:0 ~time:0;
+  Alcotest.(check bool) "released copy invokes" true
+    (Algorithm1.step c ~pid:0 ~time:1 && Algorithm1.listed c ~m:0);
+  Alcotest.(check bool) "original still waits" false
+    (Algorithm1.step st ~pid:0 ~time:1 || Algorithm1.listed st ~m:0)
+
 let suite =
   [
     t "figure1, no crash" `Quick figure1_no_crash;
@@ -321,3 +390,7 @@ let suite =
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)
       [ strict_holds_under_crashes; pairwise_holds; e2e_random; e2e_claims ]
+  @ [
+      t "copy mid-run runs on independently" `Quick copy_mid_run;
+      t "release on a copy" `Quick copy_release;
+    ]

@@ -135,13 +135,62 @@ let log_index_matches_naive =
 
 (* -------------------- consensus objects --------------------------- *)
 
+(* A copy and its original never see each other's mutations: append,
+   moving bump and lock-only bump, observed through every reader. *)
+let log_copy () =
+  let entries = Alcotest.(list (triple int int bool)) in
+  let observe l =
+    (Log.snapshot l, List.map (Log.pos l) [ 1; 2; 3; 4; 5 ],
+     List.map (Log.locked l) [ 1; 2; 3; 4; 5 ], Log.entries l)
+  in
+  let same name (s, p, k, e) l =
+    let s', p', k', e' = observe l in
+    Alcotest.check entries (name ^ ": snapshot") s s';
+    Alcotest.(check (list int)) (name ^ ": pos") p p';
+    Alcotest.(check (list bool)) (name ^ ": locked") k k';
+    Alcotest.(check (list int)) (name ^ ": entries") e e'
+  in
+  let l = Log.create ~compare:Int.compare in
+  List.iter (fun d -> ignore (Log.append l d)) [ 1; 2; 3 ];
+  let cached = Log.snapshot l in
+  let c = Log.copy l in
+  Alcotest.(check bool) "copy shares the cached snapshot" true
+    (Log.snapshot c == cached);
+  let orig = observe l in
+  ignore (Log.append c 4);
+  Log.bump_and_lock c 1 6;
+  Log.bump_and_lock c 2 2;
+  same "original after copy mutations" orig l;
+  Alcotest.check entries "copy mutated"
+    [ (2, 2, true); (3, 3, false); (4, 4, false); (1, 6, true) ]
+    (Log.snapshot c);
+  let copied = observe c in
+  ignore (Log.append l 5);
+  Log.bump_and_lock l 3 8;
+  Log.bump_and_lock l 1 1;
+  same "copy after original mutations" copied c;
+  Alcotest.check entries "original mutated"
+    [ (1, 1, true); (2, 2, false); (5, 4, false); (3, 8, true) ]
+    (Log.snapshot l)
+
 let consensus_table () =
   let c = Consensus_table.create () in
   Alcotest.(check int) "first proposal decides" 5 (Consensus_table.propose c "k" 5);
   Alcotest.(check int) "later proposals adopt" 5 (Consensus_table.propose c "k" 9);
   Alcotest.(check (option int)) "decided" (Some 5) (Consensus_table.decided c "k");
   Alcotest.(check (option int)) "other instance" None (Consensus_table.decided c "k2");
-  Alcotest.(check int) "instances" 1 (Consensus_table.instances c)
+  Alcotest.(check int) "instances" 1 (Consensus_table.instances c);
+  (* copies decide independently *)
+  let c' = Consensus_table.copy c in
+  Alcotest.(check int) "copy keeps decisions" 5 (Consensus_table.propose c' "k" 7);
+  Alcotest.(check int) "copy decides fresh instances" 3
+    (Consensus_table.propose c' "k2" 3);
+  Alcotest.(check (option int)) "original undecided" None
+    (Consensus_table.decided c "k2");
+  Alcotest.(check int) "original decides its own" 4
+    (Consensus_table.propose c "k3" 4);
+  Alcotest.(check (option int)) "copy undecided" None
+    (Consensus_table.decided c' "k3")
 
 let adopt_commit_spec () =
   let ac = Adopt_commit.create () in
@@ -226,6 +275,7 @@ let suite =
     t "log bump and lock" `Quick log_bump;
     t "log slot sharing" `Quick log_slot_sharing;
     t "log snapshot memo" `Quick log_snapshot_memo;
+    t "log copy independence" `Quick log_copy;
     t "consensus table" `Quick consensus_table;
     t "adopt-commit spec" `Quick adopt_commit_spec;
     t "engine determinism" `Quick engine_determinism;
