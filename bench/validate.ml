@@ -7,7 +7,9 @@
    string and a non-empty "entries" array; every entry carries a
    "label" and a non-empty "cases" array. Per-case fields depend on the
    suite: "algorithm1-scaling" cases carry name/ns_per_run/
-   steps_per_sec/consensus_instances/complete; "checker-scaling" cases
+   steps_per_sec/consensus_instances/complete, and the msgs-axis cases
+   (named "backlog-...") also us_per_msg/minor_words_per_step and must
+   be complete; "checker-scaling" cases
    carry name/ref_ns_per_check/ns_per_check/speedup/events and a
    verdicts_equal flag that must be true (a recorded disagreement
    between the indexed and reference checkers is a schema violation);
@@ -211,7 +213,15 @@ let check_algorithm1_case path c =
   if num "steps_per_sec" < 0. then schema_fail path "steps_per_sec must be >= 0";
   if num "consensus_instances" < 0. then
     schema_fail path "consensus_instances must be >= 0";
-  ignore (as_bool (path ^ ".complete") (field path c "complete"))
+  ignore (as_bool (path ^ ".complete") (field path c "complete"));
+  (* The msgs axis: per-message cost and allocation per step. *)
+  if String.starts_with ~prefix:"backlog-" name then begin
+    if num "us_per_msg" <= 0. then schema_fail path "us_per_msg must be > 0";
+    if num "minor_words_per_step" < 0. then
+      schema_fail path "minor_words_per_step must be >= 0";
+    if not (as_bool (path ^ ".complete") (field path c "complete")) then
+      schema_fail path "a backlog case must deliver every message"
+  end
 
 let check_checker_case path c =
   let name = as_string (path ^ ".name") (field path c "name") in

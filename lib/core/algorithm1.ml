@@ -40,13 +40,15 @@ type t = {
      [None] until first touched. An array because the lookup sits in
      every guard of the stepper's hot path. *)
   logs : datum Log.t option array array;
-  (* The shared lists L_g of the Prop. 1 reduction (append order,
-     newest first) and whether a message has been listed. *)
-  lists : int list ref array;
-  listed : bool array;
+  (* The shared lists L_g of the Prop. 1 reduction, in listing order:
+     [lists.(g).(0 .. list_len.(g) - 1)] (capacity: the messages bound
+     to g). [lidx.(m)] is m's index in its list, [-1] while unlisted. *)
+  lists : int array array;
+  list_len : int array;
+  lidx : int array;
   (* Incremental view of m's Pend tuples in LOG_g — the groups covered
      and the highest recorded position. Tuples are only ever written by
-     [try_pending], which keeps this cache exact, so the commit guard
+     [fire_pending], which keeps this cache exact, so the commit guard
      is O(|γ|) membership tests instead of a full LOG_g scan. *)
   pend_hs : Topology.gid list array;
   pend_k : int array;
@@ -54,8 +56,6 @@ type t = {
   phase : Trace.phase array array; (* phase.(p).(m) *)
   (* H(p, g) of line 20, cached: h_key.(p) maps g to the family key. *)
   h_key : (Topology.gid * Topology.gid list) list array;
-  (* Messages addressed to a group the process belongs to. *)
-  relevant : int list array;
   groups_of : Topology.gid list array;
   (* Per destination group, every other group it intersects — the full
      pend-coverage requirement of the pipelined commit gate. *)
@@ -76,117 +76,68 @@ type t = {
   mutable links : Channel_fault.stats;
   mutable events : Trace.event list; (* newest first *)
   mutable seq : int;
-  (* Enablement cache (hot-path indexing, DESIGN.md): a failed [step]
-     attempt on (p, m) need not be retried until state it can observe
-     has moved. [ver_group.(g)] counts mutations of L_g, req_at of
-     g-bound messages and every log whose key contains g;
-     [ver_proc.(p)] counts phase changes at p (guards only ever read
-     the stepping process's phases). [fail_g/fail_p] remember the
-     counters at the last fully-failed step of (p, m), [fail_t] its
-     tick (for the invocation-time crossing of [try_list]). [cache]
-     false restores the seed stepper — the reference the
-     trace-identity tests compare against. *)
-  cache : bool;
-  (* Heavy-traffic engine modes (DESIGN.md "Batching, pipelining &
-     group sharding"); both default to false, and with both false the
-     stepper is bit-identical to the seed stepper.
+  (* [cache] selects the stepper: [true] the wake-set stepper below,
+     [false] the reference full scan the trace-identity tests compare
+     against. Heavy-traffic engine modes (DESIGN.md "Batching,
+     pipelining & group sharding"); both default to false, and with
+     both false the stepper is bit-identical to the seed stepper.
      [batching]: a step drains every enabled action of the process (one
      cascade pass per action kind, repeated to a fixpoint) and commits
      whole per-group rounds — every fresh message of a round decides
      the same log position in one consensus round, the a-priori
-     [compare_datum] breaking the tie. [pipelining]: [try_send] appends
+     [compare_datum] breaking the tie. [pipelining]: [fire_send] appends
      a listed message once its predecessors are merely *sent* (in
      [LOG_g]) instead of locally delivered, so consensus on slot k+1
      overlaps the delivery of slot k. [rounds] counts commit rounds —
      the consensus invocations a message-passing deployment would
      make; without batching it equals the number of proposals issued. *)
+  cache : bool;
   batching : bool;
   pipelining : bool;
   mutable rounds : int;
-  ver_group : int array;
-  ver_proc : int array;
-  fail_g : int array array;
-  fail_p : int array array;
-  fail_t : int array array;
-  (* Per-drain guard memo of the batched stepper. Within one drain the
-     process and tick are fixed, so every guard — including the γ- and
-     [req_at]-dependent ones the cross-tick cache must special-case —
-     is a pure function of the version counters: a failed attempt of
-     sweep [i] on message [m] cannot fire again until
-     [ver_group.(dst m)] or [ver_proc.(p)] moves. [att_stamp] holds the
-     drain id the failure was recorded in (stale drains never match),
-     [att_g]/[att_p] the counters it was recorded at. This is what
-     keeps the widened fixpoint passes from re-walking every log
-     prefix: a pass re-evaluates only the guards an earlier fire could
-     have flipped. *)
-  mutable drain : int;
-  att_stamp : int array array; (* att_*.(sweep).(m) *)
-  att_g : int array array;
-  att_p : int array array;
-  (* Delivered is absorbing at p: no guard of (p, m) can fire again, so
-     [step] drops finished messages from [relevant.(p)] — the candidate
-     set every sweep and cache probe iterates. [del_seen] counts local
-     deliveries, [del_pruned] the count at the last prune; comparing
-     the two makes the prune O(1) when nothing changed. Purely an
-     iteration-space reduction: a pruned message fails every guard and
-     is [skippable] anyway. *)
-  del_seen : int array;
-  del_pruned : int array;
-  (* Membership caches for the two hottest [Log.mem] probes — a datum
-     key hashes a variant tuple, so the Hashtbl probe costs more than
-     the guard around it. [sent.(m)]: Msg m is in LOG_g (written only
-     by [try_send]); [stab_done.(m).(h)]: Stab (m, h) is in LOG_g
-     (written only by [try_stabilize]). Appends are irrevocable, so the
-     caches are exact. *)
+  (* Membership caches for the two hottest [Log.mem] probes. [sent.(m)]:
+     Msg m is in LOG_g (written only by [fire_send]);
+     [stab_done.(m).(h)]: Stab (m, h) is in LOG_g (written only by
+     [fire_stabilize]). Appends are irrevocable, so both are exact. *)
   sent : bool array;
   stab_done : bool array array;
-  (* Cross-drain walk memo of the batched stepper, for the sweeps whose
-     guard is a log-prefix walk (slots: 0 deliver, 1 stabilize,
-     2 pending, 3 send). A failed walk records its first blocking
-     message in [wb_blk.(s).(p).(m)] and the destination group's
-     version counter in [wb_vg]; the sweep then skips the walk while
-     the counter is unchanged and the blocker's local rank is still
-     below the sweep's threshold. Sound because positions only grow
-     upward (appends land at the head, [bump_and_lock] only raises) and
-     every mutation of a (g, ·) log bumps [ver_group.(g)] — so the
-     recorded predecessor stays a predecessor — while the blocker's
-     rank at p is re-read directly on every probe. A failure on
-     versioned content alone (an unsent message, a fully-stabilized
-     sweep) is recorded as [att_blocked]. Unlike the per-drain memo
-     these entries survive across drains and ticks; they are what makes
-     the widened fixpoint passes and the re-drains of later ticks O(1)
-     per still-blocked message instead of O(prefix). *)
-  wb_blk : int array array array;
-  wb_vg : int array array array;
-  (* Per-group reposition counter: bumped (for every key group of the
-     touched logs) by the commit actions, the only source of
-     [Log.bump_and_lock] raises. Appends deliberately do NOT count: a
-     fresh entry lands at the head, strictly above every existing
-     datum, so it can never enter the recorded prefix of a blocked
-     walk — the walk verdict for (m, log) only moves through
-     repositions (tracked here) and local ranks (re-read on every
-     probe). This is what lets blocker-keyed memo entries survive the
-     append-heavy drains. *)
-  bump_ver : int array;
+  (* Reference stepper only ([||] otherwise): the messages addressed to
+     a group of each process, in id order — the full scan. *)
+  relevant : int list array;
+  (* The wake-set stepper (DESIGN.md "Hot-path indexing"); every array
+     below is [||] under the reference stepper. A message enters
+     process p's candidate set only once some guard of p could fire on
+     it, and leaves it when every guard it is eligible for has failed,
+     registering what those guards read; only a change of that state
+     puts it back.
+     - [cls st p m] (byte m of [wcls.(p)], offset by 2): [unadmitted]
+       (p cannot see m yet), [parked] (admitted, every guard false
+       until woken) or the class [c >= 0] whose woken set holds m, plus
+       [retimed] while m was woken by its heap entry alone: nothing it
+       waits on moved, so its walk registrations are still in place.
+       The class is a function of p's phase of m and of [sent]/[lidx]:
+       exactly the sweep that can fire on it.
+     - [due.(p)] ([due_n.(p)] entries): a binary min-heap of
+       [time * k + m] — admissions at [req_at] (the source) or at the
+       announcement's arrival, and the re-probe of a guard that read a
+       detector, at the tick the read may change.
+     - [wset.(p)]: per class c, the count of its woken set at [c] and
+       the set itself, a bitset of [nw] words of 63 ids each, from word
+       [classes + c * nw]; with more than one word, its lowest/highest
+       possibly-nonzero word follow at [hints st + 2 * c + _].
+     - [waiters.(p).(b)]: messages whose walk at p is blocked by
+       entry [b], as [m lsl 3 lor r] with r the walk's rank threshold;
+       the row is [||] until p's first blocked walk.
+     Small per-process rows: the fuzzer's many tiny runs allocate
+     little, which keeps OCaml 5's size-classed major heap small. *)
+  k : int;
+  nw : int;
+  wcls : Bytes.t array;
+  wset : int array array;
+  due : int array array;
+  due_n : int array;
+  waiters : int list array array;
 }
-
-let touch_group st g = st.ver_group.(g) <- st.ver_group.(g) + 1
-let touch_proc st p = st.ver_proc.(p) <- st.ver_proc.(p) + 1
-
-(* Touch every group whose logs an action at [p] on a g-bound message
-   mutates: g itself plus the stepper's own groups (the (g, h) logs). *)
-let touch_pair_logs st p g =
-  touch_group st g;
-  List.iter (fun h -> if h <> g then touch_group st h) st.groups_of.(p)
-
-(* A commit action at [p] on a g-bound message may raise positions in
-   every (g, h) log, h ∈ groups_of p; entries of those logs are g- or
-   h-bound, so both key groups' walk memos must see the reposition. *)
-let touch_bumps st p g =
-  st.bump_ver.(g) <- st.bump_ver.(g) + 1;
-  List.iter
-    (fun h -> if h <> g then st.bump_ver.(h) <- st.bump_ver.(h) + 1)
-    st.groups_of.(p)
 
 let log st g h =
   let g, h = if g <= h then (g, h) else (h, g) in
@@ -196,6 +147,200 @@ let log st g h =
       let l = Log.create ~compare:compare_datum in
       st.logs.(g).(h) <- Some l;
       l
+
+(* ------------------------------------------------------------------ *)
+(* Wake sets (the wake-set stepper only).                              *)
+(* ------------------------------------------------------------------ *)
+
+let unadmitted = -2
+let parked = -1
+
+(* Candidate classes, in the scalar stepper's action priority order:
+   each is the one sweep that can fire on a message in that state. *)
+let c_deliver = 0 (* Stable *)
+let c_stable = 1 (* Commit: stable, then stabilize *)
+let c_commit = 2 (* Pending *)
+let c_pending = 3 (* Start, sent *)
+let c_send = 4 (* Start, listed *)
+let c_list = 5 (* Start, unlisted: only ever admitted at the source *)
+let classes = 6
+
+let class_of st p m =
+  match st.phase.(p).(m) with
+  | Trace.Start ->
+      if st.sent.(m) then c_pending
+      else if st.lidx.(m) >= 0 then c_send
+      else c_list
+  | Trace.Pending -> c_commit
+  | Trace.Commit -> c_stable
+  | Trace.Stable -> c_deliver
+  | Trace.Delivered -> parked
+
+let retimed = 8
+
+let hints st = classes * (1 + st.nw)
+let cls st p m = Char.code (Bytes.unsafe_get st.wcls.(p) m) - 2
+let set_cls st p m v = Bytes.unsafe_set st.wcls.(p) m (Char.unsafe_chr (v + 2))
+
+let insert st p c m =
+  let ws = st.wset.(p) in
+  let w = m / 63 in
+  let i = classes + (c * st.nw) + w in
+  ws.(i) <- ws.(i) lor (1 lsl (m mod 63));
+  ws.(c) <- ws.(c) + 1;
+  if st.nw > 1 then begin
+    let h = hints st + (2 * c) in
+    if w < ws.(h) then ws.(h) <- w;
+    if w > ws.(h + 1) then ws.(h + 1) <- w
+  end;
+  set_cls st p m c
+
+let park st p m =
+  let w = cls st p m in
+  if w >= 0 then begin
+    let c = w land 7 and ws = st.wset.(p) in
+    let i = classes + (c * st.nw) + (m / 63) in
+    ws.(i) <- ws.(i) land lnot (1 lsl (m mod 63));
+    ws.(c) <- ws.(c) - 1;
+    set_cls st p m parked
+  end
+
+(* Put an admitted m into the woken set of its current class at p
+   (moving it if its class changed; a delivered m leaves for good). *)
+let wake st p m =
+  let w = cls st p m in
+  if w <> unadmitted then begin
+    let w = if w >= 0 then w land 7 else w in
+    set_cls st p m w;
+    let c = class_of st p m in
+    if c <> w then begin
+      park st p m;
+      if c >= 0 then insert st p c m
+    end
+  end
+
+let admit st p m =
+  if cls st p m = unadmitted then set_cls st p m parked;
+  wake st p m
+
+let woken st p =
+  let rec any c = c < classes && (st.wset.(p).(c) > 0 || any (c + 1)) in
+  any 0
+
+(* Index of the lowest set bit of a nonzero word. *)
+let ctz x =
+  let x = ref (x land -x) and n = ref 0 in
+  if !x land 0xFFFFFFFF = 0 then (x := !x lsr 32; n := 32);
+  if !x land 0xFFFF = 0 then (x := !x lsr 16; n := !n + 16);
+  if !x land 0xFF = 0 then (x := !x lsr 8; n := !n + 8);
+  if !x land 0xF = 0 then (x := !x lsr 4; n := !n + 4);
+  if !x land 0x3 = 0 then (x := !x lsr 2; n := !n + 2);
+  if !x land 0x1 = 0 then incr n;
+  !n
+
+(* The smallest woken id [>= from] of class c at p, or [-1]. *)
+let next_woken st p c from =
+  let ws = st.wset.(p) in
+  if ws.(c) = 0 || from >= st.k then -1
+  else begin
+    let base = classes + (c * st.nw) and w0 = from / 63 in
+    let h = hints st + (2 * c) and multi = st.nw > 1 in
+    let hi = if multi then ws.(h + 1) else 0 in
+    let w = ref (if multi && w0 < ws.(h) then ws.(h) else w0) in
+    let found = ref (-1) in
+    while !found < 0 && !w <= hi do
+      let bits = ws.(base + !w) in
+      if bits = 0 then begin
+        if multi && !w = ws.(h) then ws.(h) <- !w + 1;
+        incr w
+      end
+      else
+        let bits = if !w = w0 then bits land (-1 lsl (from mod 63)) else bits in
+        if bits = 0 then incr w else found := (!w * 63) + ctz bits
+    done;
+    !found
+  end
+
+(* Visit the woken ids [>= from] of class c at p in ascending order,
+   including ids woken ahead of the cursor during the sweep: [find]
+   stops at the first [f st p t m = true] and returns whether there was
+   one, [sweep] visits them all and returns whether any [f] held. *)
+let rec find_woken st p t c f from =
+  match next_woken st p c from with
+  | -1 -> false
+  | m -> f st p t m || find_woken st p t c f (m + 1)
+
+let rec sweep_woken st p t c f from any =
+  match next_woken st p c from with
+  | -1 -> any
+  | m ->
+      let fired = f st p t m in
+      sweep_woken st p t c f (m + 1) (any || fired)
+
+let due_push st p time m =
+  let key = (time * st.k) + m in
+  let n = st.due_n.(p) in
+  if n = Array.length st.due.(p) then begin
+    let grown = Array.make (max 8 (2 * n)) 0 in
+    Array.blit st.due.(p) 0 grown 0 n;
+    st.due.(p) <- grown
+  end;
+  let h = st.due.(p) in
+  let i = ref n in
+  while !i > 0 && h.((!i - 1) / 2) > key do
+    h.(!i) <- h.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  h.(!i) <- key;
+  st.due_n.(p) <- n + 1
+
+(* Admit (or re-wake) every entry of p's heap due at or before [t]. *)
+let pop_due st p t =
+  let limit = (t + 1) * st.k in
+  while st.due_n.(p) > 0 && st.due.(p).(0) < limit do
+    let h = st.due.(p) in
+    let top = h.(0) and n = st.due_n.(p) - 1 in
+    let last = h.(n) in
+    st.due_n.(p) <- n;
+    let i = ref 0 and stop = ref false in
+    while not !stop do
+      let l = (2 * !i) + 1 in
+      if l >= n then stop := true
+      else begin
+        let c = if l + 1 < n && h.(l + 1) < h.(l) then l + 1 else l in
+        if h.(c) < last then begin
+          h.(!i) <- h.(c);
+          i := c
+        end
+        else stop := true
+      end
+    done;
+    if n > 0 then h.(!i) <- last;
+    let m = top mod st.k in
+    let was = cls st p m in
+    admit st p m;
+    if was = parked && cls st p m >= 0 then
+      set_cls st p m (cls st p m lor retimed)
+  done
+
+let wait_on st p b m r =
+  if Array.length st.waiters.(p) = 0 then st.waiters.(p) <- Array.make st.k [];
+  st.waiters.(p).(b) <- ((m lsl 3) lor r) :: st.waiters.(p).(b)
+
+(* Wake the waiters of entry b at p whose threshold is now met: [r] is
+   b's new rank at p, or [max_int] when b was repositioned. *)
+let wake_waiters st p b r =
+  let row = st.waiters.(p) in
+  match if Array.length row = 0 then [] else row.(b) with
+  | [] -> ()
+  | ws ->
+      row.(b) <- [];
+      List.iter
+        (fun x ->
+          if x land 7 <= r then wake st p (x lsr 3) else row.(b) <- x :: row.(b))
+        ws
+
+(* ------------------------------------------------------------------ *)
 
 let create ?(variant = Vanilla) ?(enablement_cache = true)
     ?(batching = false) ?(pipelining = false) ?(faults = Channel_fault.none)
@@ -207,9 +352,11 @@ let create ?(variant = Vanilla) ?(enablement_cache = true)
       if msg.Amsg.id <> i then
         invalid_arg "Algorithm1.create: message ids must be 0 .. K-1")
     reqs;
-  let n = Topology.n topo in
+  let n = Topology.n topo and ng = Topology.num_groups topo in
   let msgs = Array.map (fun r -> r.Workload.msg) reqs in
+  let req_at = Array.map (fun r -> r.Workload.at) reqs in
   let families = mu.Mu.families in
+  let groups_of = Array.init n (Topology.groups_of topo) in
   let h_key =
     Array.init n (fun p ->
         List.map
@@ -220,34 +367,49 @@ let create ?(variant = Vanilla) ?(enablement_cache = true)
               | Vanilla | Strict -> Topology.h_set topo families p g
             in
             (g, key))
-          (Topology.groups_of topo p))
+          groups_of.(p))
   in
-  let relevant =
-    Array.init n (fun p ->
-        List.filter
-          (fun m -> Pset.mem p (Topology.group topo msgs.(m).Amsg.dst))
-          (List.init k Fun.id))
+  let bound = Array.make ng 0 in
+  Array.iter (fun m -> bound.(m.Amsg.dst) <- bound.(m.Amsg.dst) + 1) msgs;
+  let member p m = Pset.mem p (Topology.group topo msgs.(m).Amsg.dst) in
+  let fast = enablement_cache in
+  let some f = if fast then f () else [||] in
+  let nw = (k + 62) / 63 in
+  (* The sources' admissions, due at [req_at]: each heap starts sorted,
+     in a power-of-two array (few size classes in the major heap). *)
+  let keys = Array.make (if fast then n else 0) [] in
+  for m = k - 1 downto 0 do
+    let src = msgs.(m).Amsg.src in
+    if fast && req_at.(m) <> Workload.never && member src m then
+      keys.(src) <- ((req_at.(m) * k) + m) :: keys.(src)
+  done;
+  let due =
+    Array.map
+      (fun l ->
+        let rec size c = if c >= List.length l then c else size (2 * c) in
+        let h = match l with [] -> [||] | _ -> Array.make (size 8) 0 in
+        List.iteri (fun i key -> h.(i) <- key) (List.sort Int.compare l);
+        h)
+      keys
   in
   {
     topo;
     mu;
     variant;
     msgs;
-    req_at = Array.map (fun r -> r.Workload.at) reqs;
-    logs =
-      Array.make_matrix (Topology.num_groups topo) (Topology.num_groups topo)
-        None;
-    lists = Array.init (Topology.num_groups topo) (fun _ -> ref []);
-    listed = Array.make k false;
+    req_at;
+    logs = Array.make_matrix ng ng None;
+    lists = Array.map (fun c -> Array.make c 0) bound;
+    list_len = Array.make ng 0;
+    lidx = Array.make k (-1);
     pend_hs = Array.make k [];
     pend_k = Array.make k 0;
     cons = Consensus_table.create ();
     phase = Array.make_matrix n k Trace.Start;
     h_key;
-    relevant;
-    groups_of = Array.init n (Topology.groups_of topo);
+    groups_of;
     cover =
-      Array.init (Topology.num_groups topo) (fun g ->
+      Array.init ng (fun g ->
           List.filter
             (fun h -> h <> g && Topology.intersecting topo g h)
             (Topology.gids topo));
@@ -262,109 +424,103 @@ let create ?(variant = Vanilla) ?(enablement_cache = true)
     batching;
     pipelining;
     rounds = 0;
-    ver_group = Array.make (Topology.num_groups topo) 0;
-    ver_proc = Array.make n 0;
-    fail_g = Array.make_matrix n k (-1);
-    fail_p = Array.make_matrix n k (-1);
-    fail_t = Array.make_matrix n k (-1);
-    drain = 0;
-    att_stamp = Array.make_matrix 7 k 0;
-    att_g = Array.make_matrix 7 k (-1);
-    att_p = Array.make_matrix 7 k (-1);
-    del_seen = Array.make n 0;
-    del_pruned = Array.make n 0;
     sent = Array.make k false;
-    stab_done = Array.make_matrix k (Topology.num_groups topo) false;
-    wb_blk = Array.init 4 (fun _ -> Array.make_matrix n k 0);
-    wb_vg = Array.init 4 (fun _ -> Array.make_matrix n k (-1));
-    bump_ver = Array.make (Topology.num_groups topo) 0;
+    stab_done = Array.make_matrix k ng false;
+    relevant =
+      (if fast then [||]
+       else
+         Array.init n (fun p -> List.filter (member p) (List.init k Fun.id)));
+    k;
+    nw;
+    wcls = some (fun () -> Array.init n (fun _ -> Bytes.make k '\000'));
+    wset =
+      some (fun () ->
+          let hints = classes * (1 + nw) in
+          Array.init n (fun _ ->
+              Array.init
+                (if nw > 1 then hints + (2 * classes) else hints)
+                (fun i ->
+                  if i < hints then 0 else if i mod 2 = 0 then max_int else -1)));
+    due;
+    due_n = Array.map List.length keys;
+    waiters = some (fun () -> Array.make n [||]);
   }
 
 (* Every array the stepper (or [release]) writes is copied to the
    depth of its mutable cells; everything else is either never written
    after [create] (topology, μ, messages, [h_key], [groups_of],
-   [cover]) or an immutable value held in a mutable field (the scalars,
-   [links], the [events] list), which [{ st with ... }] already
-   separates. Two tables are written only in one mode, and are shared
-   outside it, where neither copy can ever write them: the batched
-   stepper's memos ([att_*], [wb_*]) and the announcement arrival
-   ticks ([visible_at], drawn only under an active fault spec). *)
+   [cover], [relevant]) or an immutable value held in a mutable field
+   (the scalars, [links], the [events] list), which [{ st with ... }]
+   already separates. The announcement
+   arrival ticks ([visible_at]) are drawn only under an active fault
+   spec and shared outside it, where neither copy can ever write them;
+   the wake-set arrays are [||] under the reference stepper. *)
 let copy st =
   let copy2 a = Array.map Array.copy a in
-  let batched f a = if st.batching then f a else a in
   {
     st with
     req_at = Array.copy st.req_at;
     logs = Array.map (Array.map (Option.map Log.copy)) st.logs;
-    lists = Array.map (fun l -> ref !l) st.lists;
-    listed = Array.copy st.listed;
+    lists = copy2 st.lists;
+    list_len = Array.copy st.list_len;
+    lidx = Array.copy st.lidx;
     pend_hs = Array.copy st.pend_hs;
     pend_k = Array.copy st.pend_k;
     cons = Consensus_table.copy st.cons;
     phase = copy2 st.phase;
-    relevant = Array.copy st.relevant;
     visible_at =
       (if Channel_fault.is_none st.faults then st.visible_at
        else copy2 st.visible_at);
-    ver_group = Array.copy st.ver_group;
-    ver_proc = Array.copy st.ver_proc;
-    fail_g = copy2 st.fail_g;
-    fail_p = copy2 st.fail_p;
-    fail_t = copy2 st.fail_t;
-    att_stamp = batched copy2 st.att_stamp;
-    att_g = batched copy2 st.att_g;
-    att_p = batched copy2 st.att_p;
-    del_seen = Array.copy st.del_seen;
-    del_pruned = Array.copy st.del_pruned;
     sent = Array.copy st.sent;
     stab_done = copy2 st.stab_done;
-    wb_blk = batched (Array.map copy2) st.wb_blk;
-    wb_vg = batched (Array.map copy2) st.wb_vg;
-    bump_ver = Array.copy st.bump_ver;
+    wcls = Array.map Bytes.copy st.wcls;
+    wset = copy2 st.wset;
+    due = copy2 st.due;
+    due_n = Array.copy st.due_n;
+    waiters = copy2 st.waiters;
   }
 
 let emit st ev =
   st.events <- ev st.seq :: st.events;
   st.seq <- st.seq + 1
 
+let rank st p m = Trace.phase_rank st.phase.(p).(m)
+let dst st m = st.msgs.(m).Amsg.dst
+
+(* Wake m at every member of its group that the predicate selects. *)
+let wake_members st m f =
+  Pset.iter (fun q -> if f q then wake st q m) (Topology.group st.topo (dst st m))
+
 let set_phase st p m ph time =
   st.phase.(p).(m) <- ph;
-  touch_proc st p;
-  match ph with
-  | Trace.Delivered ->
-      st.del_seen.(p) <- st.del_seen.(p) + 1;
-      emit st (fun seq -> Trace.Deliver { m; p; time; seq })
-  | ph -> emit st (fun seq -> Trace.Phase_change { m; p; phase = ph; time; seq })
-
-let rank st p m = Trace.phase_rank st.phase.(p).(m)
-
-(* Outcome codes of the batched [attempt_*] guards, kept unboxed for
-   the hot sweeps: [att_fired] — the action executed; [att_blocked] —
-   the guard failed on group-versioned content alone (retry once
-   [ver_group] of the destination moves); [m' >= 0] — the guard failed
-   on a prefix walk, blocked by message [m'] (retry once m''s local
-   rank crosses the sweep's threshold, or on a content change);
-   [att_opaque] — failed with no recordable witness (re-evaluated every
-   pass). *)
-let att_fired = -2
-let att_blocked = -1
-let att_opaque = -3
+  (match ph with
+  | Trace.Delivered -> emit st (fun seq -> Trace.Deliver { m; p; time; seq })
+  | ph -> emit st (fun seq -> Trace.Phase_change { m; p; phase = ph; time; seq }));
+  if st.cache then begin
+    wake st p m;
+    wake_waiters st p m (Trace.phase_rank ph)
+  end
 
 (* The first Msg entry strictly before [m] in the (g, h) log whose rank
    at [p] is below [r] — the witness keeping the walk guard false — or
    [-1] when the guard holds (trivially so when [m] is not in the log).
-   One allocation-free prefix walk of the incremental index, short-
-   circuiting at the witness. *)
-let walk_blocker st p g h m r =
+   The reference stepper walks from the lowest entry; the wake-set
+   stepper from p's frontier for [r] in that log. The frontier is sound
+   because an entry's slot only rises (appends land at the head,
+   [bump_and_lock] only raises) and so does its rank at p: once an entry
+   has reached [r] at p it never blocks this walk again, the
+   monotonicity [Log.first_before_front] asks for. *)
+let walk st p g h m r =
   let l = log st g h in
-  if not (Log.mem l (Msg m)) then -1
+  let d = Msg m in
+  let blocks = function Msg m' -> rank st p m' < r | _ -> false in
+  if not (Log.mem l d) then -1
   else
     match
-      Log.first_before l (Msg m) (function
-        | Msg m' -> rank st p m' < r
-        | _ -> false)
+      if st.cache then Log.first_before_front l ~slot:((3 * p) + r - 2) d blocks
+      else Log.first_before l d blocks
     with
-    | Some (Msg m') -> m'
+    | Some (Msg b) -> b
     | _ -> -1
 
 (* γ(g) as seen at (p, t), per variant. *)
@@ -373,8 +529,21 @@ let gamma_groups st p t g =
   | Pairwise -> []
   | Vanilla | Strict -> st.mu.Mu.gamma_groups p t g
 
+(* Park a message whose failed guard read a detector at (p, t) until
+   the read may change: the end of γ(g)'s validity window, or the next
+   tick for a read of 1^{g∩h} (Strict), whose window [Mu] does not
+   expose. *)
+let retry_at st p t m =
+  let until =
+    match st.variant with
+    | Pairwise -> max_int
+    | Vanilla -> st.mu.Mu.gamma_until p t (st.msgs.(m).Amsg.dst)
+    | Strict -> t + 1
+  in
+  if until < max_int then due_push st p until m
+
 (* ------------------------------------------------------------------ *)
-(* Actions. Each returns true iff it executed.                         *)
+(* Actions.                                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Fault injection: the fate of each member's copy of the multicast
@@ -402,32 +571,38 @@ let draw_visibility st p t m =
           st.visible_at.(q).(m) <- v;
           if v < max_int && v > st.vis_horizon then st.vis_horizon <- v
         end)
-      (Topology.group st.topo st.msgs.(m).Amsg.dst)
+      (Topology.group st.topo (dst st m))
 
 (* Whether p has received the announcement of m: trivially true before
    m is listed (every guard then sees m as absent anyway) and for ever
    after the drawn arrival tick. *)
 let visible st p t m =
   Channel_fault.is_none st.faults
-  || (not st.listed.(m))
+  || st.lidx.(m) < 0
   || t >= st.visible_at.(p).(m)
 
-(* Whether the visibility gate filters candidate messages at all: only
-   under an effective fault spec ([Channel_fault.none] passes
-   everything, keeping fault-free runs bit-identical). *)
-let gated st = not (Channel_fault.is_none st.faults)
-
 (* multicast(m), lines 5–7, sequenced through L_g (Prop. 1): the source
-   first publishes m in the shared list. *)
+   first publishes m in the shared list. Every other member admits m
+   once its copy of the announcement arrives. *)
 let try_list st p t m =
   let msg = st.msgs.(m) in
-  if msg.Amsg.src = p && t >= st.req_at.(m) && not st.listed.(m) then begin
-    let l = st.lists.(msg.Amsg.dst) in
-    l := m :: !l;
-    st.listed.(m) <- true;
+  if msg.Amsg.src = p && t >= st.req_at.(m) && st.lidx.(m) < 0 then begin
+    let g = msg.Amsg.dst in
+    let i = st.list_len.(g) in
+    st.lists.(g).(i) <- m;
+    st.list_len.(g) <- i + 1;
+    st.lidx.(m) <- i;
     draw_visibility st p t m;
-    touch_group st msg.Amsg.dst;
     emit st (fun seq -> Trace.Invoke { m; p; time = t; seq });
+    if st.cache then
+      Pset.iter
+        (fun q ->
+          if q = p then wake st p m
+          else if Channel_fault.is_none st.faults then admit st q m
+          else
+            let v = st.visible_at.(q).(m) in
+            if v < max_int then due_push st q v m)
+        (Topology.group st.topo g);
     true
   end
   else false
@@ -441,65 +616,84 @@ let try_list st p t m =
    list order, but slots overlap — the per-message §4.1 group-
    sequentiality of the reduction is traded for pipeline depth while
    the vanilla atomic-multicast spec (integrity, termination, acyclic
-   delivery order, minimality) is preserved; see DESIGN.md. *)
-let attempt_send st p t m =
-  let msg = st.msgs.(m) in
-  let g = msg.Amsg.dst in
-  if (not st.listed.(m)) || st.sent.(m) then att_blocked
+   delivery order, minimality) is preserved; see DESIGN.md.
+
+   The reference stepper scans every older list entry. The wake-set
+   stepper reads only m's list predecessor: the sent messages of L_g
+   are a prefix of it (every send passes this gate), and so are those
+   delivered at p without pipelining (the appender delivered every
+   older message, so each is locked below m in LOG_g, and p's deliver
+   walk over LOG_g waits for it). *)
+let send_ready st p m =
+  let g = dst st m in
+  let i = st.lidx.(m) in
+  let done_ m' =
+    if st.pipelining then st.sent.(m') else st.phase.(p).(m') = Trace.Delivered
+  in
+  if st.cache then i = 0 || done_ st.lists.(g).(i - 1)
   else
-    let older =
-      (* messages listed before m in L_g: the tail after m's occurrence
-         in the newest-first shared list *)
-      let rec after_m = function
-        | [] -> []
-        | x :: rest -> if x = m then rest else after_m rest
-      in
-      after_m !(st.lists.(g))
-    in
-    let fire () =
-      ignore (Log.append (log st g g) (Msg m));
-      st.sent.(m) <- true;
-      touch_group st g;
-      emit st (fun seq -> Trace.Send { m; p; time = t; seq });
-      att_fired
-    in
-    if st.pipelining then
-      (* [sent] flips only under [touch_group g]: a failure here is
-         group-versioned content. *)
-      if List.for_all (fun m' -> st.sent.(m')) older then fire ()
-      else att_blocked
-    else if List.for_all (fun m' -> st.phase.(p).(m') = Trace.Delivered) older
-    then fire ()
-    else att_opaque (* local-phase-dependent: no group-versioned witness *)
+    let rec older j = j >= i || (done_ st.lists.(g).(j) && older (j + 1)) in
+    older 0
 
-let try_send st p t m = attempt_send st p t m = att_fired
+(* The list successor of m, whose send gate m's send (pipelined) or
+   delivery at p (otherwise) may have opened. *)
+let successor st m =
+  let g = dst st m and i = st.lidx.(m) + 1 in
+  if i < st.list_len.(g) then st.lists.(g).(i) else -1
 
-(* pending(m), lines 8–15. *)
-let attempt_pending st p t m =
-  let g = st.msgs.(m).Amsg.dst in
-  if st.phase.(p).(m) <> Trace.Start then att_opaque
-  else if not st.sent.(m) then att_blocked
-  else
-    match walk_blocker st p g g m (Trace.phase_rank Trace.Commit) with
-    | b when b >= 0 -> b
-    | _ ->
-        let lg = log st g g in
-        List.iter
-          (fun h ->
-            let i = Log.append (log st g h) (Msg m) in
-            ignore (Log.append lg (Pend (m, h, i)));
-            if not (List.mem h st.pend_hs.(m)) then
-              st.pend_hs.(m) <- h :: st.pend_hs.(m);
-            if i > st.pend_k.(m) then st.pend_k.(m) <- i)
-          st.groups_of.(p);
-        touch_pair_logs st p g;
-        set_phase st p m Trace.Pending t;
-        att_fired
+let fire_send st p t m =
+  let g = dst st m in
+  ignore (Log.append (log st g g) (Msg m));
+  st.sent.(m) <- true;
+  emit st (fun seq -> Trace.Send { m; p; time = t; seq });
+  if st.cache then begin
+    wake_members st m (fun _ -> true);
+    match successor st m with
+    | n when n >= 0 && st.pipelining -> wake_members st n (fun _ -> true)
+    | _ -> ()
+  end
 
-let try_pending st p t m = attempt_pending st p t m = att_fired
+let try_send st p t m =
+  st.lidx.(m) >= 0
+  && (not st.sent.(m))
+  && send_ready st p m
+  && begin
+       fire_send st p t m;
+       true
+     end
+
+(* pending(m), lines 8–15: every predecessor of m in LOG_g has
+   committed locally. *)
+let pending_blocker st p m =
+  let g = dst st m in
+  walk st p g g m (Trace.phase_rank Trace.Commit)
+
+let fire_pending st p t m =
+  let g = dst st m in
+  let lg = log st g g in
+  List.iter
+    (fun h ->
+      let i = Log.append (log st g h) (Msg m) in
+      ignore (Log.append lg (Pend (m, h, i)));
+      if not (List.mem h st.pend_hs.(m)) then
+        st.pend_hs.(m) <- h :: st.pend_hs.(m);
+      if i > st.pend_k.(m) then st.pend_k.(m) <- i)
+    st.groups_of.(p);
+  set_phase st p m Trace.Pending t;
+  if st.cache then
+    wake_members st m (fun q -> st.phase.(q).(m) = Trace.Pending)
+
+let try_pending st p t m =
+  st.phase.(p).(m) = Trace.Start
+  && st.sent.(m)
+  && pending_blocker st p m < 0
+  && begin
+       fire_pending st p t m;
+       true
+     end
 
 (* The commit guard of lines 16–24, shared by the scalar and batched
-   committers: [Some k] when every γ-group has a recorded (m, h, i)
+   committers: [`Ready k] when every γ-group has a recorded (m, h, i)
    tuple, with [k] the highest such position — read from the exact
    [pend_hs]/[pend_k] cache instead of scanning LOG_g.
 
@@ -516,379 +710,361 @@ let try_pending st p t m = attempt_pending st p t m = att_fired
    one total order (k, then [compare_datum]) — wait-for stays acyclic.
    The price is crash-liveness: a crashed boundary member stalls its
    group's commits, which γ-gating was designed to excuse (§4.1 trade,
-   see DESIGN.md). *)
-let commit_ready st p t m =
-  let g = st.msgs.(m).Amsg.dst in
+   see DESIGN.md).
+
+   [`Later] marks a failure of the γ part, which time alone may lift. *)
+let commit_check st p t m =
+  let g = dst st m in
   let covered h = List.mem h st.pend_hs.(m) in
-  if
-    List.for_all covered (gamma_groups st p t g)
-    && ((not st.pipelining) || List.for_all covered st.cover.(g))
-  then Some st.pend_k.(m)
-  else None
+  if not (List.for_all covered (gamma_groups st p t g)) then `Later
+  else if st.pipelining && not (List.for_all covered st.cover.(g)) then `No
+  else `Ready st.pend_k.(m)
 
-(* commit(m), lines 16–24. *)
-let try_commit st p t m =
-  let g = st.msgs.(m).Amsg.dst in
-  st.phase.(p).(m) = Trace.Pending
-  && (match commit_ready st p t m with
-     | None -> false
-     | Some k ->
-         let fam_key = List.assoc g st.h_key.(p) in
-         st.rounds <- st.rounds + 1;
-         let k = Consensus_table.propose st.cons (m, fam_key) k in
-         List.iter
-           (fun h -> Log.bump_and_lock (log st g h) (Msg m) k)
-           st.groups_of.(p);
-         touch_pair_logs st p g;
-         touch_bumps st p g;
-         set_phase st p m Trace.Commit t;
-         true)
-
-(* Batched commit (lines 16–24, amortized): gather every Pending
-   message of each destination group whose γ-guard holds and run ONE
-   consensus round for the whole batch. Every member proposes the same
-   decided position kd — the max of the members' observed positions —
-   so the fresh messages of a round land at one log position and the
-   a-priori [compare_datum] fixes the in-batch delivery order, exactly
-   the Multi-Paxos batching trade. Consensus keys stay per-message, so
-   agreement with concurrent scalar or foreign rounds is unchanged;
-   only the invocation count ([rounds]) is amortized. Groups are walked
-   in the deterministic [groups_of] order. *)
-let batch_commit st p t candidates =
-  let fired = ref false in
+(* Bump-and-lock m at the decided slot in every (g, h) log of p — the
+   repositioning that wakes every walk m blocks. *)
+let fire_commit st p t m k =
+  let g = dst st m in
   List.iter
-    (fun g ->
-      let round =
-        List.filter_map
-          (fun m ->
-            if st.msgs.(m).Amsg.dst = g && st.phase.(p).(m) = Trace.Pending
-            then begin
-              let cg = st.ver_group.(g) and cp = st.ver_proc.(p) in
-              if
-                st.att_stamp.(3).(m) = st.drain
-                && st.att_g.(3).(m) = cg
-                && st.att_p.(3).(m) = cp
-              then None
-              else
-                match commit_ready st p t m with
-                | Some k -> Some (m, k)
-                | None ->
-                    st.att_stamp.(3).(m) <- st.drain;
-                    st.att_g.(3).(m) <- cg;
-                    st.att_p.(3).(m) <- cp;
-                    None
-            end
-            else None)
-          candidates
-      in
-      match round with
-      | [] -> ()
-      | members ->
-          let kd = List.fold_left (fun acc (_, k) -> max acc k) 0 members in
-          let fam_key = List.assoc g st.h_key.(p) in
-          st.rounds <- st.rounds + 1;
-          List.iter
-            (fun (m, _) ->
-              let k = Consensus_table.propose st.cons (m, fam_key) kd in
-              List.iter
-                (fun h -> Log.bump_and_lock (log st g h) (Msg m) k)
-                st.groups_of.(p);
-              set_phase st p m Trace.Commit t)
-            members;
-          touch_pair_logs st p g;
-          touch_bumps st p g;
-          fired := true)
+    (fun h -> Log.bump_and_lock (log st g h) (Msg m) k)
     st.groups_of.(p);
-  !fired
+  set_phase st p m Trace.Commit t;
+  if st.cache then
+    Pset.iter (fun q -> wake_waiters st q m max_int) (Topology.group st.topo g)
+
+(* commit(m), lines 16–24: one consensus round for m alone. *)
+let commit_one st p t m k =
+  let fam_key = List.assoc (dst st m) st.h_key.(p) in
+  st.rounds <- st.rounds + 1;
+  fire_commit st p t m (Consensus_table.propose st.cons (m, fam_key) k)
+
+let try_commit st p t m =
+  st.phase.(p).(m) = Trace.Pending
+  &&
+  match commit_check st p t m with
+  | `Later | `No -> false
+  | `Ready k ->
+      commit_one st p t m k;
+      true
+
+(* Batched commit (lines 16–24, amortized): the γ-ready Pending
+   messages of one destination group (in id order, [round]) run ONE
+   consensus round. Every member proposes the same decided position kd
+   — the max of the members' observed positions — so the fresh
+   messages of a round land at one log position and the a-priori
+   [compare_datum] fixes the in-batch delivery order, exactly the
+   Multi-Paxos batching trade. Consensus keys stay per-message, so
+   agreement with concurrent scalar or foreign rounds is unchanged;
+   only the invocation count ([rounds]) is amortized. *)
+let commit_round st p t g round =
+  match round with
+  | [] -> false
+  | members ->
+      let kd = List.fold_left (fun acc (_, k) -> max acc k) 0 members in
+      let fam_key = List.assoc g st.h_key.(p) in
+      st.rounds <- st.rounds + 1;
+      List.iter
+        (fun (m, _) ->
+          fire_commit st p t m (Consensus_table.propose st.cons (m, fam_key) kd))
+        members;
+      true
 
 (* stabilize(m, h), lines 25–29.
 
    Both steppers skip [h = g]: a [Stab (m, g)] tuple has no reader in
-   any variant — [try_stable]'s Vanilla arm ranges over the γ-groups
+   any variant — [stable_ready]'s Vanilla arm ranges over the γ-groups
    (which exclude [g]), Strict short-circuits [h = g], Pairwise never
    reads [Stab] — so writing it only pollutes LOG_g and lengthens every
    later predecessor walk over it. *)
 let fire_stabilize st g m h =
   ignore (Log.append (log st g g) (Stab (m, h)));
   st.stab_done.(m).(h) <- true;
-  touch_group st g
+  if st.cache then
+    wake_members st m (fun q -> st.phase.(q).(m) = Trace.Commit)
 
-let try_stabilize st p t m h =
-  let g = st.msgs.(m).Amsg.dst in
-  ignore t;
+let stabilize_blocker st p m h =
+  walk st p (dst st m) h m (Trace.phase_rank Trace.Stable)
+
+let try_stabilize st p m h =
   st.phase.(p).(m) = Trace.Commit
   && (not st.stab_done.(m).(h))
-  && walk_blocker st p g h m (Trace.phase_rank Trace.Stable) < 0
+  && stabilize_blocker st p m h < 0
   && begin
-       fire_stabilize st g m h;
+       fire_stabilize st (dst st m) m h;
        true
      end
 
-(* The batched stabilize sweep: every h ≠ g of p's groups at once ([p ∈
-   g ∩ h] holds for each — m is relevant to p, so p ∈ group g, and the
-   iteration ranges over p's own groups). When exactly one h is still
-   blocked (the rest already stabilized) its walk blocker is the
-   witness for the cross-drain memo; several blocked h's have no single
-   witness and stay [att_opaque]. On the overlap topologies of the
-   benchmarks a process sits in two groups, so the singleton case is
-   the common one. *)
-let attempt_stabilize st p t m =
-  ignore t;
-  let g = st.msgs.(m).Amsg.dst in
-  if st.phase.(p).(m) <> Trace.Commit then att_opaque
-  else begin
-    let fired = ref false and blocked = ref 0 and witness = ref att_blocked in
-    List.iter
-      (fun h ->
-        if h <> g && not st.stab_done.(m).(h) then
-          match walk_blocker st p g h m (Trace.phase_rank Trace.Stable) with
-          | b when b >= 0 ->
-              incr blocked;
-              witness := b
-          | _ ->
-              fire_stabilize st g m h;
-              fired := true)
-      st.groups_of.(p);
-    if !fired then att_fired
-    else if !blocked = 0 then att_blocked (* every h already stabilized *)
-    else if !blocked = 1 then !witness
-    else att_opaque
-  end
-
 (* stable(m), lines 30–33 (variant-dependent precondition, §6.1). *)
-let try_stable st p t m =
-  let g = st.msgs.(m).Amsg.dst in
+let stable_ready st p t m =
+  let g = dst st m in
   let has_stab h = st.stab_done.(m).(h) in
+  match st.variant with
+  | Vanilla -> List.for_all has_stab (gamma_groups st p t g)
+  | Pairwise -> true
+  | Strict ->
+      List.for_all
+        (fun h ->
+          h = g || not (Topology.intersecting st.topo g h)
+          || has_stab h
+          || st.mu.Mu.indicator g h p t = Some true)
+        (Topology.gids st.topo)
+
+let try_stable st p t m =
   st.phase.(p).(m) = Trace.Commit
-  && (match st.variant with
-     | Vanilla -> List.for_all has_stab (gamma_groups st p t g)
-     | Pairwise -> true
-     | Strict ->
-         List.for_all
-           (fun h ->
-             h = g || not (Topology.intersecting st.topo g h)
-             || has_stab h
-             || st.mu.Mu.indicator g h p t = Some true)
-           (Topology.gids st.topo))
+  && stable_ready st p t m
   && begin
        set_phase st p m Trace.Stable t;
        true
      end
 
-(* deliver(m), lines 34–37. The guard is a conjunction of walks over
-   p's pair logs; the first failing log's first blocker falsifies the
-   whole conjunction, so it is a sound single witness for the memo. *)
-let attempt_deliver st p t m =
-  let g = st.msgs.(m).Amsg.dst in
-  if st.phase.(p).(m) <> Trace.Stable then att_opaque
-  else
-    let rec check = function
-      | [] ->
-          set_phase st p m Trace.Delivered t;
-          att_fired
-      | h :: hs -> (
-          match walk_blocker st p g h m (Trace.phase_rank Trace.Delivered) with
-          | b when b >= 0 -> b
-          | _ -> check hs)
-    in
-    check st.groups_of.(p)
+(* deliver(m), lines 34–37: a conjunction of walks over p's pair logs;
+   the first failing log's first blocker falsifies the whole
+   conjunction, so it is a sound single witness. *)
+let deliver_blocker st p m =
+  let g = dst st m in
+  let r = Trace.phase_rank Trace.Delivered in
+  let rec check = function
+    | [] -> -1
+    | h :: hs ->
+        let b = walk st p g h m r in
+        if b >= 0 then b else check hs
+  in
+  check st.groups_of.(p)
 
-let try_deliver st p t m = attempt_deliver st p t m = att_fired
+let fire_deliver st p t m =
+  set_phase st p m Trace.Delivered t;
+  if st.cache && not st.pipelining then
+    match successor st m with n when n >= 0 -> wake st p n | _ -> ()
 
-(* Whether a failed attempt on (p, m) recorded at [fail_t] with the
-   current version counters could evaluate differently at time [t]: a
-   delivered message never acts again; otherwise every guard is a pure
-   function of counted state except the detector queries of commit
-   (γ, phase Pending) and stable (γ / 1^{g∩h}, phase Commit) — absent
-   under Pairwise where γ(g) = ∅ — and the [t ≥ req_at] threshold of
-   try_list, which can only flip when t first crosses req_at. *)
-let skippable st p t m =
-  if not (visible st p t m) then
-    (* The announcement is still in flight: no action of p on m can
-       fire, and the crossing needs no cursor bookkeeping — listing
-       already bumped [ver_group], and cursors for (p, m) are only ever
-       written while m is visible (invisible messages never enter
-       [live]), so the first visible attempt is never skipped. *)
-    true
-  else
-  match st.phase.(p).(m) with
-  | Trace.Delivered -> true
-  | ph ->
-      let msg = st.msgs.(m) in
-      st.fail_g.(p).(m) = st.ver_group.(msg.Amsg.dst)
-      && st.fail_p.(p).(m) = st.ver_proc.(p)
-      && (match ph with
-         | Trace.Pending | Trace.Commit -> st.variant = Pairwise
-         | Trace.Start | Trace.Stable | Trace.Delivered -> true)
-      && not
-           (msg.Amsg.src = p
-           && (not st.listed.(m))
-           && t >= st.req_at.(m)
-           && st.fail_t.(p).(m) < st.req_at.(m))
+let try_deliver st p t m =
+  st.phase.(p).(m) = Trace.Stable
+  && deliver_blocker st p m < 0
+  && begin
+       fire_deliver st p t m;
+       true
+     end
 
-let prune_delivered st p =
-  if st.del_seen.(p) <> st.del_pruned.(p) then begin
-    st.relevant.(p) <-
-      List.filter
-        (fun m -> st.phase.(p).(m) <> Trace.Delivered)
-        st.relevant.(p);
-    st.del_pruned.(p) <- st.del_seen.(p)
-  end
-
-let enabled st ~pid:p ~time:t =
-  prune_delivered st p;
-  (not st.cache)
-  || List.exists (fun m -> not (skippable st p t m)) st.relevant.(p)
+(* ------------------------------------------------------------------ *)
+(* The reference stepper: a full scan of every visible message.       *)
+(* ------------------------------------------------------------------ *)
 
 (* One batched cascade pass: attempt every action kind over every
    candidate in the scalar stepper's priority order, executing ALL
-   enabled actions instead of the first. Returns whether anything
-   fired. Stabilize drains every (m, h) pair; commit goes through
-   [batch_commit] so a pass costs one consensus round per group. *)
-let batch_pass st p t candidates =
+   enabled actions instead of the first. Stabilize drains every (m, h)
+   pair; commit runs one consensus round per group. *)
+let ref_pass st p t candidates =
   let any = ref false in
-  (* The γ- and [t]-dependent sweeps (stable, commit in [batch_commit],
-     list) use the per-drain memo, slots 1/3/6 of [att_*]; the walk
-     sweeps use the cross-drain [wb_*] memo instead. Every sweep
-     applies to exactly one phase of (p, m), so the phase is checked
-     before either memo probe — the common wrong-phase case costs one
-     array read. *)
-  let memo_eval i f m =
-    let cg = st.ver_group.(st.msgs.(m).Amsg.dst) and cp = st.ver_proc.(p) in
-    if
-      st.att_stamp.(i).(m) = st.drain
-      && st.att_g.(i).(m) = cg
-      && st.att_p.(i).(m) = cp
-    then ()
-    else if f m then any := true
-    else begin
-      st.att_stamp.(i).(m) <- st.drain;
-      st.att_g.(i).(m) <- cg;
-      st.att_p.(i).(m) <- cp
-    end
-  in
-  let run i ph f =
-    List.iter (fun m -> if st.phase.(p).(m) = ph then memo_eval i f m) candidates
-  in
-  (* Walk sweeps go through the cross-drain memo: probe the recorded
-     witness first, evaluate only when it no longer keeps the guard
-     false, and record the fresh outcome. [r] is the sweep's rank
-     threshold (unused for send, whose failures are content-keyed). *)
-  let run_walk s ph r attempt =
-    List.iter
-      (fun m ->
-        if st.phase.(p).(m) = ph then begin
-          let g = st.msgs.(m).Amsg.dst in
-          (* Content-keyed entries ([att_blocked]) watch [ver_group];
-             blocker entries only need the reposition counter — appends
-             cannot unblock a recorded walk. *)
-          let b = st.wb_blk.(s).(p).(m) in
-          let skip =
-            if b = att_blocked then st.wb_vg.(s).(p).(m) = st.ver_group.(g)
-            else
-              b >= 0
-              && st.wb_vg.(s).(p).(m) = st.bump_ver.(g)
-              && rank st p b < r
-          in
-          if not skip then begin
-            let res = attempt m in
-            if res = att_fired then any := true
-            else if res = att_blocked then begin
-              st.wb_vg.(s).(p).(m) <- st.ver_group.(g);
-              st.wb_blk.(s).(p).(m) <- att_blocked
-            end
-            else if res >= 0 then begin
-              st.wb_vg.(s).(p).(m) <- st.bump_ver.(g);
-              st.wb_blk.(s).(p).(m) <- res
-            end
-          end
-        end)
-      candidates
-  in
-  run_walk 0 Trace.Stable
-    (Trace.phase_rank Trace.Delivered)
-    (attempt_deliver st p t);
-  run 1 Trace.Commit (try_stable st p t);
-  run_walk 1 Trace.Commit
-    (Trace.phase_rank Trace.Stable)
-    (attempt_stabilize st p t);
-  if batch_commit st p t candidates then any := true;
-  run_walk 2 Trace.Start
-    (Trace.phase_rank Trace.Commit)
-    (attempt_pending st p t);
-  run_walk 3 Trace.Start 0 (attempt_send st p t);
-  run 6 Trace.Start (try_list st p t);
+  let run f = List.iter (fun m -> if f m then any := true) candidates in
+  run (try_deliver st p t);
+  run (try_stable st p t);
+  run (fun m ->
+      let g = dst st m in
+      List.fold_left
+        (fun fired h -> (h <> g && try_stabilize st p m h) || fired)
+        false st.groups_of.(p));
+  List.iter
+    (fun g ->
+      let round =
+        List.filter_map
+          (fun m ->
+            if dst st m = g && st.phase.(p).(m) = Trace.Pending then
+              match commit_check st p t m with
+              | `Ready k -> Some (m, k)
+              | `Later | `No -> None
+            else None)
+          candidates
+      in
+      if commit_round st p t g round then any := true)
+    st.groups_of.(p);
+  run (try_pending st p t);
+  run (try_send st p t);
+  run (try_list st p t);
   !any
 
-let step st ~pid:p ~time:t =
-  prune_delivered st p;
-  (* The visibility gate applies in both stepper modes — it is part of
-     the semantics, not of the enablement cache (which merely subsumes
-     it via [skippable]). With [Channel_fault.none] both filters pass
-     everything through untouched, keeping fault-free runs bit-identical
-     to the pre-fault stepper. *)
+(* A batched step: passes until one fires nothing. *)
+let drain pass =
+  pass ()
+  && begin
+       while pass () do
+         ()
+       done;
+       true
+     end
+
+let ref_step st p t =
+  (* The visibility gate is part of the semantics: with
+     [Channel_fault.none] it passes everything through untouched. *)
   let base =
-    if not (gated st) then st.relevant.(p)
+    if Channel_fault.is_none st.faults then st.relevant.(p)
     else List.filter (fun m -> visible st p t m) st.relevant.(p)
   in
-  let live =
-    if st.cache then List.filter (fun m -> not (skippable st p t m)) base
-    else base
-  in
-  match live with
-  | [] -> false
-  | _ ->
-      let executed =
-        if st.batching then begin
-          (* Drain to a fixpoint: the first pass runs over the cache-
-             filtered [live] set (a fired action bumps version counters,
-             so later passes must widen to the full visible [base] —
-             previously-skippable messages may have become enabled).
-             The per-drain memo keeps the widened passes cheap. *)
-          st.drain <- st.drain + 1;
-          if batch_pass st p t live then begin
-            while batch_pass st p t base do
-              ()
-            done;
-            true
-          end
-          else false
-        end
+  if st.batching then drain (fun () -> ref_pass st p t base)
+  else
+    let try_each f = List.exists f base in
+    try_each (try_deliver st p t)
+    || try_each (try_stable st p t)
+    || try_each (fun m ->
+           let g = dst st m in
+           st.phase.(p).(m) = Trace.Commit
+           && List.exists
+                (fun h ->
+                  h <> g
+                  && Pset.mem p (Topology.inter st.topo g h)
+                  && try_stabilize st p m h)
+                st.groups_of.(p))
+    || try_each (try_commit st p t)
+    || try_each (try_pending st p t)
+    || try_each (try_send st p t)
+    || try_each (try_list st p t)
+
+(* ------------------------------------------------------------------ *)
+(* The wake-set stepper.                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Each sweep visits the woken set of one class in id order — the
+   order of the reference scan, which skips every other message only
+   because its guard is false — and parks a message once every guard
+   it is eligible for has failed, registering what they read. *)
+
+let fast_deliver st p t m =
+  match deliver_blocker st p m with
+  | -1 ->
+      fire_deliver st p t m;
+      true
+  | b ->
+      park st p m;
+      wait_on st p b m (Trace.phase_rank Trace.Delivered);
+      false
+
+let fast_stable st p t m =
+  stable_ready st p t m
+  && begin
+       set_phase st p m Trace.Stable t;
+       true
+     end
+
+(* The stabilize sweep of a Commit-phase m: fire the first (scalar) or
+   every (batched) unblocked h ≠ g. With none fired, m parks unless
+   [stable] now holds; it waits on each blocker, on its [Stab] tuples
+   (woken by [fire_stabilize]) and until the detector [stable] read may
+   change ([retry_at]). *)
+let fast_stabilize st p t m =
+  let g = dst st m in
+  let r = Trace.phase_rank Trace.Stable in
+  let fresh = cls st p m land retimed = 0 in
+  let fired =
+    List.fold_left
+      (fun fired h ->
+        if (fired && not st.batching) || h = g || st.stab_done.(m).(h) then fired
         else
-          let try_each f l = List.exists f l in
-          try_each (try_deliver st p t) live
-          || try_each (try_stable st p t) live
-          || try_each
-               (fun m ->
-                 let g = st.msgs.(m).Amsg.dst in
-                 st.phase.(p).(m) = Trace.Commit
-                 && try_each
-                      (fun h ->
-                        h <> g
-                        && Pset.mem p (Topology.inter st.topo g h)
-                        && try_stabilize st p t m h)
-                      st.groups_of.(p))
-               live
-          || try_each (try_commit st p t) live
-          || try_each (try_pending st p t) live
-          || try_each (try_send st p t) live
-          || try_each (try_list st p t) live
-      in
-      let record m =
-        st.fail_g.(p).(m) <- st.ver_group.(st.msgs.(m).Amsg.dst);
-        st.fail_p.(p).(m) <- st.ver_proc.(p);
-        st.fail_t.(p).(m) <- t
-      in
-      if st.cache then
-        if executed then begin
-          (* Batched drains end with a full pass that fired nothing:
-             that pass proved every visible candidate quiescent at the
-             current version counters, so the failure cursors may be
-             recorded exactly as after a failed scalar attempt. *)
-          if st.batching then List.iter record base
-        end
-        else List.iter record live;
-      executed
+          match stabilize_blocker st p m h with
+          | -1 ->
+              fire_stabilize st g m h;
+              true
+          | b ->
+              if fresh then wait_on st p b m r;
+              fired)
+      false st.groups_of.(p)
+  in
+  if not (fired || stable_ready st p t m) then begin
+    park st p m;
+    retry_at st p t m
+  end;
+  fired
+
+(* A failed commit guard parks m on its pend tuples (woken by
+   [fire_pending]) and, when γ failed, until γ may change. *)
+let commit_failed st p t m r =
+  park st p m;
+  if r = `Later then retry_at st p t m
+
+let fast_commit st p t m =
+  match commit_check st p t m with
+  | `Ready k ->
+      commit_one st p t m k;
+      true
+  | (`Later | `No) as r ->
+      commit_failed st p t m r;
+      false
+
+(* The batched commit candidates of group g, in id order. *)
+let fast_round st p t g =
+  let round = ref [] and m = ref (next_woken st p c_commit 0) in
+  while !m >= 0 do
+    (if dst st !m = g then
+       match commit_check st p t !m with
+       | `Ready k -> round := (!m, k) :: !round
+       | (`Later | `No) as r -> commit_failed st p t !m r);
+    m := next_woken st p c_commit (!m + 1)
+  done;
+  List.rev !round
+
+let fast_pending st p t m =
+  match pending_blocker st p m with
+  | -1 ->
+      fire_pending st p t m;
+      true
+  | b ->
+      park st p m;
+      wait_on st p b m (Trace.phase_rank Trace.Commit);
+      false
+
+(* A failed send gate needs no registration: the send (pipelined) or
+   local delivery of m's list predecessor wakes exactly m. *)
+let fast_send st p t m =
+  if send_ready st p m then begin
+    fire_send st p t m;
+    true
+  end
+  else begin
+    park st p m;
+    false
+  end
+
+let fast_list st p t m =
+  try_list st p t m
+  || begin
+       park st p m;
+       false
+     end
+
+let fast_pass st p t =
+  let sweep c f any = sweep_woken st p t c f 0 any in
+  let any = sweep c_deliver fast_deliver false in
+  let any = sweep c_stable fast_stable any in
+  let any = sweep c_stable fast_stabilize any in
+  let any =
+    List.fold_left
+      (fun any g -> commit_round st p t g (fast_round st p t g) || any)
+      any st.groups_of.(p)
+  in
+  let any = sweep c_pending fast_pending any in
+  let any = sweep c_send fast_send any in
+  sweep c_list fast_list any
+
+let fast_step st p t =
+  pop_due st p t;
+  woken st p
+  &&
+  if st.batching then drain (fun () -> fast_pass st p t)
+  else
+    let first c f = find_woken st p t c f 0 in
+    first c_deliver fast_deliver
+    || first c_stable fast_stable
+    || first c_stable fast_stabilize
+    || first c_commit fast_commit
+    || first c_pending fast_pending
+    || first c_send fast_send
+    || first c_list fast_list
+
+let enabled st ~pid:p ~time:t =
+  (not st.cache)
+  || begin
+       pop_due st p t;
+       woken st p
+     end
+
+let step st ~pid:p ~time:t =
+  if st.cache then fast_step st p t else ref_step st p t
 
 let trace st = Trace.make ~n:(Topology.n st.topo) (List.rev st.events)
 let phase st ~pid ~m = st.phase.(pid).(m)
@@ -915,8 +1091,10 @@ let log_snapshot st (g, h) =
 
 let consensus_instances st = Consensus_table.instances st.cons
 
-let listed st ~m = st.listed.(m)
-let list_snapshot st g = !(st.lists.(g))
+let listed st ~m = st.lidx.(m) >= 0
+
+let list_snapshot st g =
+  List.init st.list_len.(g) (fun i -> st.lists.(g).(st.list_len.(g) - 1 - i))
 
 let consensus_decisions st =
   let cmp ((m, fam), v) ((m', fam'), v') =
@@ -931,9 +1109,11 @@ let consensus_decisions st =
 let release st ~m ~time =
   if st.req_at.(m) > time then begin
     st.req_at.(m) <- time;
-    (* Only loosens the enablement cache: a lowered req_at can turn
-       try_list on, and the source's cursor may predate the crossing. *)
-    touch_group st st.msgs.(m).Amsg.dst
+    (* A lowered req_at can turn the source's multicast on: admit m
+       there at the new time (a stale heap entry is harmless). *)
+    let src = st.msgs.(m).Amsg.src in
+    if st.cache && Pset.mem src (Topology.group st.topo (dst st m)) then
+      due_push st src time m
   end
 
 let consensus_rounds st = st.rounds
@@ -945,7 +1125,7 @@ let visibility_horizon st = st.vis_horizon
 let event_seq st = st.seq
 
 let visibility st ~pid ~m ~time =
-  if Channel_fault.is_none st.faults || not st.listed.(m) then `Visible
+  if Channel_fault.is_none st.faults || st.lidx.(m) < 0 then `Visible
   else
     let v = st.visible_at.(pid).(m) in
     if v = max_int then `Lost

@@ -74,13 +74,13 @@ val create :
     [q] forever. With [Channel_fault.none] no draw is made and the
     stepper is bit-identical to the fault-free one.
 
-    [enablement_cache] (default [true]) turns on the hot-path skip
-    index: per-(process, message) failure cursors invalidated by
-    version counters on log/list/phase mutations, so [step] skips
-    messages whose guards cannot have changed since they last failed.
-    The cache only prunes provably-disabled candidates, so traces are
-    bit-identical either way; [false] recovers the reference stepper
-    (used by the trace-identity tests). *)
+    [enablement_cache] (default [true]) selects the wake-set stepper:
+    a message becomes a candidate of a process only once one of its
+    guards there could fire, and after every eligible guard failed it
+    waits on what those guards read (a blocking log entry, its own
+    tuples, the next tick for a detector read) — DESIGN.md "Hot-path
+    indexing". Traces are bit-identical either way; [false] is the
+    reference full scan (used by the trace-identity tests). *)
 
 val copy : t -> t
 (** An independent copy of the run's state: protocol objects, phases,
@@ -96,8 +96,8 @@ val step : t -> pid:int -> time:int -> bool
 
 val enabled : t -> pid:int -> time:int -> bool
 (** Conservative enablement hint for [Engine.run]: [false] only when
-    the cache proves no action of [pid] can execute at [time] (always
-    [true] with the cache off). Sound to use as the engine's
+    nothing of [pid] is woken at [time], so no action can execute
+    (always [true] for the reference stepper). Sound to use as the engine's
     [?enabled] filter: skipping such a process cannot change the run. *)
 
 val trace : t -> Trace.t

@@ -99,5 +99,6 @@ let mu_of_perfect topo perfect =
     omega_inter;
     gamma;
     gamma_groups = (fun p t g -> Topology.gamma_groups topo (gamma p t) g);
+    gamma_until = (fun _ t _ -> t + 1);
     indicator;
   }

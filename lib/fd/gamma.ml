@@ -82,5 +82,9 @@ let groups d p t g =
     gs
   end
 
+let until d p t g =
+  ignore (groups d p t g);
+  d.memo_hi.(p).(g)
+
 let families_of d p =
   List.map (fun i -> let _, fam, _ = List.nth d.entries i in fam) d.per_process.(p)

@@ -33,5 +33,10 @@ val groups : t -> int -> Failure_pattern.time -> Topology.gid -> Topology.gid li
     and time [t]: the groups [h] intersecting [g] such that [g] and [h]
     belong to a common family currently output. *)
 
+val until : t -> int -> Failure_pattern.time -> Topology.gid -> Failure_pattern.time
+(** [until d p t g]: the first tick after [t] at which [groups d p · g]
+    may differ from its value at [t] ([max_int] if it never does) — the
+    end of its validity window. *)
+
 val families_of : t -> int -> Topology.family list
 (** The static [F(p)]. *)

@@ -13,6 +13,7 @@ type t = {
   omega_inter : Topology.gid -> Topology.gid -> int -> Failure_pattern.time -> int option;
   gamma : int -> Failure_pattern.time -> Topology.family list;
   gamma_groups : int -> Failure_pattern.time -> Topology.gid -> Topology.gid list;
+  gamma_until : int -> Failure_pattern.time -> Topology.gid -> Failure_pattern.time;
   indicator : Topology.gid -> Topology.gid -> int -> Failure_pattern.time -> bool option;
 }
 
@@ -78,6 +79,7 @@ let make ?(max_delay = 5) ?(stabilization = 0) ~seed topo fp =
     omega_inter;
     gamma = (fun p t -> Gamma.query gamma_d p t);
     gamma_groups = (fun p t g -> Gamma.groups gamma_d p t g);
+    gamma_until = (fun p t g -> Gamma.until gamma_d p t g);
     indicator;
   }
 
@@ -86,11 +88,15 @@ let with_gamma mu gamma =
     mu with
     gamma;
     gamma_groups = (fun p t g -> Topology.gamma_groups mu.topo (gamma p t) g);
+    gamma_until = (fun _ t _ -> t + 1);
   }
+
+let constant mu = { mu with gamma_until = (fun _ _ _ -> max_int) }
 
 let gamma_always mu =
   let families = mu.families in
   let topo = mu.topo in
-  with_gamma mu (fun p _t -> Topology.families_of_process topo families p)
+  constant
+    (with_gamma mu (fun p _t -> Topology.families_of_process topo families p))
 
-let gamma_lying mu = with_gamma mu (fun _p _t -> [])
+let gamma_lying mu = constant (with_gamma mu (fun _p _t -> []))

@@ -21,6 +21,11 @@ type t = {
       (** [gamma p t]: families output by γ at [p]. *)
   gamma_groups : int -> Failure_pattern.time -> Topology.gid -> Topology.gid list;
       (** The derived [γ(g)] notation of §3. *)
+  gamma_until : int -> Failure_pattern.time -> Topology.gid -> Failure_pattern.time;
+      (** [gamma_until p t g]: a tick after [t] up to which
+          [gamma_groups p · g] keeps its value at [t] ([max_int]: for
+          ever). Exact for the γ of {!make} and the constant ablations,
+          [t + 1] for an arbitrary γ. *)
   indicator : Topology.gid -> Topology.gid -> int -> Failure_pattern.time -> bool option;
       (** [indicator g h p t]: output of [1^{g∩h}] (§6.1 strengthening). *)
 }
@@ -41,7 +46,7 @@ val with_gamma :
   (int -> Failure_pattern.time -> Topology.family list) ->
   t
 (** Ablation hook: replace the γ component (both [gamma] and the
-    derived [gamma_groups]). *)
+    derived [gamma_groups]; [gamma_until] becomes [t + 1]). *)
 
 val gamma_always : t -> t
 (** A γ that never excludes any family: accurate but not complete.

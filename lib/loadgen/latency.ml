@@ -13,49 +13,51 @@ type summary = {
   max : int option;
 }
 
-(* Nearest-rank percentile over unsorted samples: the value at rank
-   ⌈q·n/100⌉ (1-based, floored at 1) of the sorted list. Total on
-   q ∈ [0, 100] and n ≥ 1; [None] only on the empty list. *)
-let percentile samples q =
-  match samples with
-  | [] -> None
-  | _ ->
-      let sorted = List.sort Int.compare samples in
-      let n = List.length sorted in
-      let rank = max 1 (((q * n) + 99) / 100) in
-      Some (List.nth sorted (min n rank - 1))
+(* Nearest-rank percentile over sorted samples: the value at rank
+   ⌈q·n/100⌉ (1-based, floored at 1). Total on q ∈ [0, 100] and n ≥ 1;
+   [None] only on the empty array. *)
+let percentile_sorted sorted q =
+  let n = Array.length sorted in
+  if n = 0 then None
+  else
+    let rank = max 1 (((q * n) + 99) / 100) in
+    Some sorted.(min n rank - 1)
 
-(* Latency sample of message m, if complete: deliveries at crashed
-   processes don't count towards completion (a faulty member may stop
-   anywhere), but every correct destination member must have
-   delivered. *)
-let sample_of outcome m =
-  let { Runner.topo; fp; trace; _ } = outcome in
-  match Trace.invoke_time trace ~m with
-  | None -> None
-  | Some t0 ->
-      let dst = (Workload.message outcome.Runner.workload m).Amsg.dst in
-      let members =
-        Pset.inter (Failure_pattern.correct fp) (Topology.group topo dst)
-      in
-      let complete =
-        Pset.for_all (fun p -> Trace.delivered_at trace ~p ~m) members
-      in
-      if not complete then None
-      else
-        let last =
-          List.fold_left
-            (fun acc (p, m', t, _) ->
-              if m' = m && Pset.mem p members then max acc t else acc)
-            t0
-            (Trace.deliveries trace)
-        in
-        Some (last - t0)
+let sorted_array samples =
+  let a = Array.of_list samples in
+  Array.sort Int.compare a;
+  a
 
+let percentile samples q = percentile_sorted (sorted_array samples) q
+
+(* Latency samples of every invoked message, in one pass over the
+   deliveries: [last.(m)] is the last delivery tick of m at a correct
+   member of its group. Deliveries at crashed processes don't count
+   towards completion (a faulty member may stop anywhere), but every
+   correct destination member must have delivered. *)
 let samples outcome =
+  let { Runner.topo; fp; trace; workload; _ } = outcome in
+  let msgs = Workload.messages workload in
+  let dst = Array.make (List.length msgs) 0 in
+  List.iter (fun (msg : Amsg.t) -> dst.(msg.id) <- msg.dst) msgs;
+  let correct = Failure_pattern.correct fp in
+  let counted p m =
+    Pset.mem p correct && Pset.mem p (Topology.group topo dst.(m))
+  in
+  let last = Array.make (Array.length dst) min_int in
+  List.iter
+    (fun (p, m, t, _) -> if counted p m && t > last.(m) then last.(m) <- t)
+    (Trace.deliveries trace);
   List.filter_map
-    (fun m -> sample_of outcome m)
-    (Trace.invoked outcome.Runner.trace)
+    (fun m ->
+      match Trace.invoke_time trace ~m with
+      | None -> None
+      | Some t0 ->
+          let members = Pset.inter correct (Topology.group topo dst.(m)) in
+          if Pset.for_all (fun p -> Trace.delivered_at trace ~p ~m) members
+          then Some (max t0 last.(m) - t0)
+          else None)
+    (Trace.invoked trace)
 
 (* Simulated makespan of a set of outcomes, in ticks: first invoke to
    last delivery, inclusive. Shards of one scenario share the global
@@ -87,12 +89,12 @@ let span outcomes =
 
 let summarize outcome =
   let invoked = List.length (Trace.invoked outcome.Runner.trace) in
-  let samples = samples outcome in
-  let delivered = List.length samples in
+  let sorted = sorted_array (samples outcome) in
+  let delivered = Array.length sorted in
   {
     delivered;
     undelivered = invoked - delivered;
-    p50 = percentile samples 50;
-    p99 = percentile samples 99;
-    max = percentile samples 100;
+    p50 = percentile_sorted sorted 50;
+    p99 = percentile_sorted sorted 99;
+    max = percentile_sorted sorted 100;
   }

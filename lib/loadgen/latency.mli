@@ -23,11 +23,9 @@ val percentile : int list -> int -> int option
     samples. [None] only on the empty list; [q = 100] is the maximum,
     [q = 0] the minimum. *)
 
-val sample_of : Runner.outcome -> int -> int option
-(** Latency of message [m], if its delivery completed. *)
-
 val samples : Runner.outcome -> int list
-(** Samples of every completed message, in invocation order. *)
+(** Samples of every completed message, in invocation order: one pass
+    over the trace's deliveries. *)
 
 val span : Runner.outcome list -> int
 (** Simulated makespan in ticks: first invoke to last delivery over the
@@ -36,3 +34,4 @@ val span : Runner.outcome list -> int
     their max, not their sum). [0] when nothing completed. *)
 
 val summarize : Runner.outcome -> summary
+(** The samples, sorted once for all three percentiles. *)

@@ -48,10 +48,9 @@ val lt : 'a t -> 'a -> 'a -> bool
 (** [lt log d d']: the order [d <_L d'] (both data must be present). *)
 
 val entries : 'a t -> 'a list
-(** All data in log order (increasing [<_L]). Amortized O(1): the
-    sorted index is maintained incrementally across [append] and
-    [bump_and_lock], and only rebuilt (one list reversal) on the first
-    read after a mutation. *)
+(** All data in log order (increasing [<_L]). The ascending index is
+    maintained incrementally: [append] pushes at its end, and only a
+    position-raising [bump_and_lock] moves an entry. *)
 
 val snapshot : 'a t -> ('a * int * bool) list
 (** Every datum with its position and lock status, in log order. Cached:
@@ -81,6 +80,19 @@ val first_before : 'a t -> 'a -> ('a -> bool) -> 'a option
     {!forall_before} — the witness-returning variant used to name the
     blocking entry of a failed guard walk. Raises [Invalid_argument] if
     [d] is absent. *)
+
+val first_before_front : 'a t -> slot:int -> 'a -> ('a -> bool) -> 'a option
+(** [first_before_front log ~slot d pred]: {!first_before}, walked from
+    a frontier the log keeps per caller-chosen [slot] (a small
+    non-negative int; slots start at the lowest entry). The walk starts
+    at the frontier's slot and leaves the frontier at the slot of the
+    entry it returns, or of [d] when it returns [None].
+
+    The caller guarantees, per [slot], that [pred] only ever changes
+    from [true] to [false] on an entry, never back. Then no entry below
+    the frontier satisfies [pred] (entries only move up the log, and
+    appends land at the head), so the result is always {!first_before}'s
+    and repeated walks cost O(entries above the frontier). *)
 
 val fold_entries : 'a t -> ('b -> 'a -> 'b) -> 'b -> 'b
 (** Fold over all entries in ascending log order (allocation-free

@@ -152,6 +152,55 @@ let closed_loop_drives_to_completion () =
   Alcotest.(check (result unit string))
     "core spec holds" (Ok ()) (Properties.check_core outcome)
 
+(* The per-message fold [Latency.samples] replaced: for each invoked
+   message, check completion at every correct member, then fold over
+   all deliveries for the last one — O(messages x deliveries). *)
+let samples_oracle (o : Runner.outcome) =
+  let sample_of m =
+    match Trace.invoke_time o.trace ~m with
+    | None -> None
+    | Some t0 ->
+        let dst = (Workload.message o.workload m).Amsg.dst in
+        let members =
+          Pset.inter (Failure_pattern.correct o.fp) (Topology.group o.topo dst)
+        in
+        if not (Pset.for_all (fun p -> Trace.delivered_at o.trace ~p ~m) members)
+        then None
+        else
+          Some
+            (List.fold_left
+               (fun acc (p, m', t, _) ->
+                 if m' = m && Pset.mem p members then max acc t else acc)
+               t0 (Trace.deliveries o.trace)
+            - t0)
+  in
+  List.filter_map sample_of (Trace.invoked o.trace)
+
+(* Generated outcomes: three topologies, a crashed member on some, and
+   a horizon short enough on others to leave messages undelivered. *)
+let samples_match_oracle =
+  QCheck.Test.make ~name:"latency samples = per-message fold" ~count:60
+    QCheck.(triple (int_range 0 1000) (int_range 0 2) (int_range 0 2))
+    (fun (seed, shape, fault) ->
+      let topo =
+        match shape with
+        | 0 -> Topology.ring ~groups:3
+        | 1 -> Topology.disjoint ~groups:2 ~size:3
+        | _ -> Topology.chain ~groups:3
+      in
+      let workload =
+        Loadgen.open_loop ~rng:(Rng.make seed) ~rate_pct:150 ~skew_pct:50
+          ~duration:8 topo
+      in
+      let n = Topology.n topo in
+      let fp =
+        if fault = 1 then Failure_pattern.of_crashes ~n [ (1, 4) ]
+        else Failure_pattern.never ~n
+      in
+      let horizon = if fault = 2 then Some 12 else None in
+      let o = Runner.run ~seed ?horizon ~topo ~fp ~workload () in
+      Latency.samples o = samples_oracle o)
+
 let suite =
   [
     t "percentiles: known distributions" `Quick percentile_known;
@@ -165,3 +214,4 @@ let suite =
     t "closed loop: chain shape" `Quick closed_loop_shape;
     t "closed loop: driver completes chains" `Quick closed_loop_drives_to_completion;
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) [ samples_match_oracle ]

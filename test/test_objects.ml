@@ -133,6 +133,35 @@ let log_index_matches_naive =
                naive)
         ops)
 
+(* A frontier walk finds what a walk from the lowest entry finds, as
+   long as its predicate only ever turns false on an entry: here "not
+   yet done", with entries marked done as the ops go. Ops are appends,
+   bumps, marks and walks from each datum. *)
+let log_front_walk_matches_full =
+  QCheck.Test.make ~name:"log frontier walk = full walk" ~count:200
+    QCheck.(small_list (pair (int_range 0 3) (pair (int_range 0 8) (int_range 0 12))))
+    (fun ops ->
+      let l = Log.create ~compare:Int.compare in
+      let done_ = Array.make 9 false in
+      let blocks d = not done_.(d) in
+      List.for_all
+        (fun (op, (d, k)) ->
+          match op with
+          | 0 ->
+              ignore (Log.append l d);
+              true
+          | 1 ->
+              if Log.mem l d then Log.bump_and_lock l d k;
+              true
+          | 2 ->
+              done_.(d) <- true;
+              true
+          | _ ->
+              (not (Log.mem l d))
+              || Log.first_before_front l ~slot:(k mod 3) d blocks
+                 = Log.first_before l d blocks)
+        ops)
+
 (* -------------------- consensus objects --------------------------- *)
 
 (* A copy and its original never see each other's mutations: append,
@@ -283,4 +312,9 @@ let suite =
     t "engine quiescence" `Quick engine_quiescence;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false)
-      [ log_laws; log_index_matches_naive; adopt_commit_laws ]
+      [
+        log_laws;
+        log_index_matches_naive;
+        adopt_commit_laws;
+        log_front_walk_matches_full;
+      ]

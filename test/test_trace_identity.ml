@@ -137,6 +137,113 @@ let generated_cases () =
       ~faults:Channel_fault.none 6;
   ]
 
+(* Backlog: hundreds of messages queued at one group, where admission,
+   wake keys and frontier walks do the work (the cases above hold at
+   most about 40 messages). Each case must invoke and deliver every
+   message, and is checked against the reference stepper twice:
+   through [Runner.run], and by a plain round-robin drive whose state
+   is copied a third of the way in — the original, the copy and the
+   reference must then record the same events. *)
+let backlog_cases () =
+  let one = Topology.disjoint ~groups:1 ~size:3 in
+  let open_loop ?(topo = one) ~rate ~duration seed =
+    Loadgen.open_loop ~rng:(Rng.make seed) ~rate_pct:rate ~skew_pct:50
+      ~duration topo
+  in
+  let delayed = { Channel_fault.none with Channel_fault.delay = 3 } in
+  (* The driver keeps its chain cursors: one fresh driver per run. *)
+  let closed () =
+    Loadgen.closed_loop ~rng:(Rng.make 4) ~clients:4 ~msgs_per_client:30
+      ~skew_pct:0 one
+  in
+  let mk ?(topo = one) ?(variant = Algorithm1.Vanilla) ?(batching = false)
+      ?(pipelining = false) ?(faults = Channel_fault.none) ?driver ?horizon
+      ?(seed = 3) name workload =
+    ( name,
+      topo,
+      variant,
+      (batching, pipelining, faults),
+      (driver, horizon, seed),
+      workload )
+  in
+  [
+    mk "open loop 400 msgs" (open_loop ~rate:400 ~duration:100 1);
+    mk "open loop 400 msgs, batched+pipelined" ~batching:true ~pipelining:true
+      (open_loop ~rate:400 ~duration:100 2);
+    (* An explicit horizon: the default one is computed from arrival
+       ticks, and unreleased links arrive at [Workload.never]. *)
+    mk "closed loop, released mid-run"
+      ~driver:(fun () -> snd (closed ()))
+      ~horizon:2000
+      (fst (closed ()));
+    mk "delayed channels backlog" ~faults:delayed
+      (open_loop ~rate:400 ~duration:50 3);
+    (* Overlapping groups, batched: a fire early in a pass may enable a
+       message with a higher id in the same sweep. *)
+    mk "ring-6 batched+pipelined pairwise" ~topo:(Topology.ring ~groups:6)
+      ~variant:Algorithm1.Pairwise ~batching:true ~pipelining:true ~seed:2
+      (open_loop ~topo:(Topology.ring ~groups:6) ~rate:400 ~duration:40 102);
+  ]
+
+let backlog_identity () =
+  List.iter
+    (fun ( name,
+           topo,
+           variant,
+           (batching, pipelining, faults),
+           (driver, horizon, seed),
+           workload ) ->
+      let n = Topology.n topo in
+      let fp = Failure_pattern.never ~n in
+      let run enablement_cache =
+        Runner.run ~variant ~seed ~enablement_cache ~batching ~pipelining
+          ~faults ?driver:(Option.map (fun d -> d ()) driver)
+          ?horizon ~topo ~fp ~workload ()
+      in
+      let optimized = run true in
+      if
+        List.length (Trace.invoked optimized.Runner.trace)
+        <> List.length workload
+        || not (Runner.deliveries_complete optimized)
+      then Alcotest.failf "%s: not every message was invoked and delivered" name;
+      (match divergence (run false) optimized with
+      | None -> ()
+      | Some d -> Alcotest.failf "%s: %s" name d);
+      well_formed name optimized;
+      let mu = Mu.make ~seed topo fp in
+      let create enablement_cache =
+        Algorithm1.create ~variant ~enablement_cache ~batching ~pipelining
+          ~faults ~fault_seed:seed ~topo ~mu ~workload ()
+      in
+      let drive ?driver st ~from ~upto =
+        for time = from to upto do
+          Option.iter (fun d -> d st ~time) driver;
+          for pid = 0 to n - 1 do
+            if Algorithm1.enabled st ~pid ~time then
+              ignore (Algorithm1.step st ~pid ~time)
+          done
+        done
+      in
+      let horizon = optimized.Runner.stats.Engine.ticks_used + 10 in
+      let events st = (Algorithm1.trace st).Trace.events in
+      let fresh () = Option.map (fun d -> d ()) driver in
+      let reference = create false in
+      drive ?driver:(fresh ()) reference ~from:0 ~upto:horizon;
+      (* A driver keeps state the copy does not carry: [d2] reaches the
+         cut at the same chain cursors as [d1] by driving a second state
+         there, and then drives the copy. *)
+      let st = create true and d1 = fresh () and d2 = fresh () in
+      drive ?driver:d1 st ~from:0 ~upto:(horizon / 3);
+      drive ?driver:d2 (create true) ~from:0 ~upto:(horizon / 3);
+      let copied = Algorithm1.copy st in
+      drive ?driver:d1 st ~from:((horizon / 3) + 1) ~upto:horizon;
+      drive ?driver:d2 copied ~from:((horizon / 3) + 1) ~upto:horizon;
+      if events st <> events reference then
+        Alcotest.failf "%s: drive differs from the reference" name;
+      if events copied <> events reference then
+        Alcotest.failf "%s: mid-run copy differs from the reference" name)
+    (backlog_cases ())
+
 let corpus_identity () =
   let entries = Corpus.load ~dir:"../corpus" in
   if List.length entries < 4 then
@@ -179,6 +286,7 @@ let fuzz_identity jobs () =
 let suite =
   [
     t "corpus: optimized trace = reference trace" `Quick corpus_identity;
+    t "backlog: optimized = reference, mid-run copy" `Quick backlog_identity;
     t "fuzz sweep identical (jobs=1)" `Slow (fuzz_identity 1);
     t "fuzz sweep identical (jobs=4)" `Slow (fuzz_identity 4);
   ]
